@@ -9,6 +9,7 @@ from .errors import (
     ConfigValidationError,
     DataError,
     DegenerateSelectionError,
+    DivergenceError,
     DomainViolationError,
     FccoError,
     FlatViewUnavailableError,
@@ -24,7 +25,6 @@ from .problem import (
     BlockDualState,
     BoxDomain,
     InnerOracle,
-    ProblemConstants,
     ProblemInstance,
     Regularizer,
     evaluate_objective,
@@ -55,7 +55,6 @@ from .solvers import (
     bsgd_step,
     convex_preset,
     dual_update_conjugate,
-    dual_update_quadratic,
     init_alexr_state,
     init_baseline_state,
     msvr_beta,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import List
@@ -66,9 +67,10 @@ def _lines(stream):
 def parse_libsvm(stream):
     """Parse sparse 'label idx:val ...' text (1-based, strictly increasing
     indices per line).  Returns (csr_matrix, labels); the width is the
-    largest index seen.  Blank lines are skipped; malformed input raises
-    with the offending line number."""
-    labels = []
+    largest index seen.  Blank lines are skipped; malformed input,
+    including a non-finite label or value, raises with the offending line
+    number."""
+    labels, row_lines = [], []
     data, indices, indptr = [], [], [0]
     max_index = 0
     for line_no, raw in enumerate(_lines(stream), start=1):
@@ -80,6 +82,9 @@ def parse_libsvm(stream):
             labels.append(float(tokens[0]))
         except ValueError:
             raise LibsvmParseError(line_no, f"non-numeric label {tokens[0]!r}")
+        if not math.isfinite(labels[-1]):
+            raise LibsvmParseError(line_no, f"non-finite label {tokens[0]!r}")
+        row_lines.append(line_no)
         prev = 0
         for tok in tokens[1:]:
             try:
@@ -97,8 +102,14 @@ def parse_libsvm(stream):
             data.append(val)
             max_index = max(max_index, idx)
         indptr.append(len(indices))
+    data = np.asarray(data, dtype=float)
+    indptr = np.asarray(indptr, dtype=int)
+    bad = np.flatnonzero(~np.isfinite(data))
+    if bad.size:
+        row = int(np.searchsorted(indptr, bad[0], side="right")) - 1
+        raise LibsvmParseError(row_lines[row], f"non-finite value at index {indices[bad[0]] + 1}")
     mat = sp.csr_matrix(
-        (np.asarray(data), np.asarray(indices, dtype=int), np.asarray(indptr, dtype=int)),
+        (data, np.asarray(indices, dtype=int), indptr),
         shape=(len(labels), max_index),
     )
     return mat, np.asarray(labels)
@@ -158,6 +169,10 @@ def load_grouped_csv(stream, group_column, label_column="label", min_group_size=
         raise DataError("labels must be +-1 or {0, 1}")
 
     features = np.asarray(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(features))
+    if len(bad):
+        row, col = bad[0]
+        raise DataError(f"row {row + 1}: non-finite value in feature column {feature_cols[col]!r}")
     group_of = np.asarray(group_of)
     keep = [g for g in range(len(group_names))
             if np.count_nonzero(group_of == g) >= min_group_size]

@@ -61,5 +61,11 @@ class ConfigValidationError(FccoError):
         self.field = field
 
 
-class NonConvergenceError(FccoError):
-    """A run failed to reach its target within the iteration budget."""
+class DivergenceError(FccoError):
+    """A run's iterate or dual/tracker table became non-finite; carries the
+    solver label and the iteration."""
+
+    def __init__(self, solver, t):
+        super().__init__(f"{solver}: iterate or dual table is not finite at t={t} (diverged)")
+        self.solver = solver
+        self.t = t

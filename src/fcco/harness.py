@@ -57,6 +57,12 @@ def _fail(path, msg):
     raise ConfigValidationError(path, msg)
 
 
+def _check_keys(path, mapping, known):
+    for key in mapping:
+        if key not in known:
+            _fail(f"{path}.{key}", f"unknown parameter; expected one of {sorted(known)}")
+
+
 def validate_config(raw):
     """Validate a raw config mapping; raises ConfigValidationError with the
     offending field path."""
@@ -81,6 +87,19 @@ def validate_config(raw):
         grid = solver.get("grid", {})
         if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
             _fail(f"solvers[{i}].grid", "grid must map parameter names to lists")
+        if solver["name"] == "alexr":
+            preset = params.get("preset")
+            if preset not in ALEXR_PARAMS:
+                _fail(f"solvers[{i}].params.preset", f"unknown preset {preset!r}")
+            known = ALEXR_PARAMS[preset] | {"preset"}
+        else:
+            known = BASELINE_PARAMS
+        for part, keys in (("params", params), ("grid", grid)):
+            _check_keys(f"solvers[{i}].{part}", keys, known)
+    problem_params = problem.get("params", {})
+    if not isinstance(problem_params, dict):
+        _fail("problem.params", "params must be a mapping")
+    _check_keys("problem.params", problem_params, BUILDER_PARAMS[problem["builder"]])
     seeds = raw.get("seeds", [1, 2, 3, 4, 5])
     if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
         _fail("seeds", "need a nonempty list of integer seeds")
@@ -197,7 +216,31 @@ PROBLEM_BUILDERS = {
     "planted": _build_planted,
 }
 
+# Parameter names each builder reads (the planted pseudo-problem's are read
+# by sweep_rate); validate_config rejects any other key.
+_GDRO = {"divergence", "alpha", "lam", "weight_decay", "risk_bound", "f_star"}
+_PAUC = {"alpha", "surrogate", "weight_decay", "f_star"}
+BUILDER_PARAMS = {
+    "hard_smooth": {"n", "nu", "sigma"},
+    "hard_nonsmooth": {"n", "nu", "beta", "alpha_reg", "sigma"},
+    "gdro_synthetic": _GDRO | {"data_seed", "n_groups", "d", "samples_per_group", "heterogeneity"},
+    "gdro_csv": _GDRO | {"path", "group_column", "label_column", "min_group_size"},
+    "pauc_synthetic": _PAUC | {"data_seed", "n_pos", "n_neg", "d", "separation"},
+    "pauc_libsvm": _PAUC | {"path"},
+    "planted": {"coeff", "power"},
+}
+
 SOLVER_NAMES = ("alexr", "bsgd", "sox", "msvr", "sgd_erm", "sgd_uw")
+
+# Parameter names make_solver reads: per alexr preset (None = explicit step
+# sizes), and for every baseline.
+_BATCHING = {"S", "B", "T"}
+ALEXR_PARAMS = {
+    None: _BATCHING | {"eta", "tau", "theta", "psi_mode", "averaging"},
+    "strongly_convex": _BATCHING | {"mu", "epsilon", "theta", "theta_margin", "psi_mode"},
+    "convex": _BATCHING | {"epsilon", "theta", "eta_coeff", "tau_coeff", "psi_mode"},
+}
+BASELINE_PARAMS = _BATCHING | {"step", "gamma", "averaging", "subgradient_fallback"}
 
 
 def make_solver(name, params, seed, built, label=None):

@@ -24,7 +24,6 @@ from .problem import (
     BoxDomain,
     FlatSampleView,
     InnerOracle,
-    ProblemConstants,
     ProblemInstance,
     Regularizer,
 )
@@ -140,7 +139,13 @@ class AffineScalarOracle(InnerOracle):
 class CoordinateNoiseKernel:
     """Vectorized sampled-block backend for problems whose inners are the n
     coordinate oracles 0..n-1 with one shared noise law and one shared outer
-    function.  Consumes the same randomness stream as the per-block path."""
+    function.  A block-solver step calls `draw` once for all sampled blocks
+    (one uniform draw of shape (S, 2, B), the same stream as the per-block
+    path's value-then-Jacobian batches), `value_noise` once, `values` once at
+    x_t and once more at x_{t-1} when the rule extrapolates or corrects, and
+    `accumulate_grad` once; the solver's block rule then runs elementwise on
+    `shared_outer`.  Every block solver (alexr, sox, msvr, bsgd) reproduces
+    its per-block results bitwise on this path."""
 
     def __init__(self, noise, shared_outer):
         self.noise = noise
@@ -192,15 +197,9 @@ def build_hard_smooth(n, nu, sigma):
     inners = [CoordinateNoiseOracle(i, n, noise) for i in range(n)]
     reg = Regularizer(l2_coeff=1.0 / (2.0 * n))
     domain = BoxDomain.symmetric(1.0, n)
-    constants = ProblemConstants(
-        c_f=1.0 + nu, c_g=1.0, l_f=1.0, l_g=0.0,
-        sigma0_sq=noise.variance, sigma1_sq=0.0,
-        delta_sq=(1.0 + nu) ** 2,
-    )
     problem = ProblemInstance(
         n=n, dim=n, outers=[outer] * n, inners=inners, regularizer=reg,
-        domain=domain, constants=constants,
-        kernel=CoordinateNoiseKernel(noise, outer), name="hard_smooth",
+        domain=domain, kernel=CoordinateNoiseKernel(noise, outer), name="hard_smooth",
     )
     x_star = np.full(n, -2.0 * nu / 3.0)
     return HardInstance(
@@ -222,14 +221,9 @@ def build_hard_nonsmooth(n, nu, beta, alpha_reg, sigma):
     inners = [CoordinateNoiseOracle(i, n, noise) for i in range(n)]
     reg = Regularizer(l2_coeff=alpha_reg / n)
     domain = BoxDomain.symmetric(2.0 * nu, n)
-    constants = ProblemConstants(
-        c_f=beta, c_g=1.0, l_g=0.0,
-        sigma0_sq=noise.variance, sigma1_sq=0.0, delta_sq=beta ** 2,
-    )
     problem = ProblemInstance(
         n=n, dim=n, outers=[outer] * n, inners=inners, regularizer=reg,
-        domain=domain, constants=constants,
-        kernel=CoordinateNoiseKernel(noise, outer), name="hard_nonsmooth",
+        domain=domain, kernel=CoordinateNoiseKernel(noise, outer), name="hard_nonsmooth",
     )
     if alpha_reg > beta / nu:
         coord = -beta / alpha_reg
@@ -404,9 +398,8 @@ def build_gdro(data, divergence="cvar", alpha=None, lam=1.0, weight_decay=0.0,
 
     return ProblemInstance(
         n=data.n_groups, dim=dim, outers=[outer] * data.n_groups, inners=inners,
-        regularizer=reg, domain=domain,
-        constants=ProblemConstants(c_f=outer.lipschitz),
-        flat_view=view, aux_metrics=aux_metrics, name=f"gdro_{divergence}",
+        regularizer=reg, domain=domain, flat_view=view, aux_metrics=aux_metrics,
+        name=f"gdro_{divergence}",
     )
 
 
@@ -547,9 +540,7 @@ def build_pauc(data, surrogate="squared_hinge", weight_decay=0.0):
     reg = Regularizer(l2_coeff=l2, linear=linear, mu=0.0)
     return ProblemInstance(
         n=n_pos, dim=dim, outers=[outer] * n_pos, inners=inners,
-        regularizer=reg, domain=BoxDomain.unbounded(dim),
-        constants=ProblemConstants(c_f=outer.lipschitz),
-        name="pauc",
+        regularizer=reg, domain=BoxDomain.unbounded(dim), name="pauc",
     )
 
 
@@ -565,8 +556,7 @@ def build_cvar_scalar(risks, alpha):
     lo, hi = float(risks.min()) - 1.0, float(risks.max()) + 1.0
     problem = ProblemInstance(
         n=n, dim=1, outers=[outer] * n, inners=inners, regularizer=reg,
-        domain=BoxDomain(lo, hi, 1),
-        constants=ProblemConstants(c_f=outer.lipschitz), name="cvar_scalar",
+        domain=BoxDomain(lo, hi, 1), name="cvar_scalar",
     )
     # exact minimizer over c: derivative 1 - #{r_i > c}/(alpha*n) crosses zero
     # where exactly alpha*n levels exceed c

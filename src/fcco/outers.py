@@ -30,9 +30,6 @@ class OuterFunction(ABC):
     is_monotone : bool
         Non-decreasing in its argument (required when composed with a
         nonlinear inner map).
-    is_legendre : bool
-        Strictly convex and essentially smooth; the gradient map is then a
-        bijection onto the interior of the dual interval.
     lipschitz : float
         Bound on |subgradient|; equals the outward radius of the dual
         interval.  May be ``inf`` for unbounded dual domains.
@@ -41,7 +38,6 @@ class OuterFunction(ABC):
     """
 
     is_monotone = False
-    is_legendre = False
     lipschitz = INF
     smoothness = None
 
@@ -295,7 +291,6 @@ class HalfSquareShift(OuterFunction):
     inverses everywhere.
     """
 
-    is_legendre = True
     smoothness = 1.0
 
     def __init__(self, c=0.0):
@@ -325,22 +320,6 @@ class HalfSquareShift(OuterFunction):
 
     def __repr__(self):
         return f"HalfSquareShift(c={self.c})"
-
-
-def value(f, u):
-    return f.value(u)
-
-
-def subgradient(f, u):
-    return f.subgradient(u)
-
-
-def conjugate_value(f, y):
-    return f.conjugate_value(y)
-
-
-def dual_domain(f):
-    return f.dual_domain()
 
 
 def primal_map(f, u):

@@ -10,8 +10,8 @@ and its saddle counterpart, used by the primal-dual solvers, is
 
     L(x, y) = (1/n) * sum_i [ g_i(x) * y_i - f_i*(y_i) ] + r(x).
 
-All shipped instances have scalar inner outputs (m = 1); the dual table is a
-length-n vector with one block per component.
+Every inner map has a scalar output, so the dual table is a length-n
+vector with one block per component.
 """
 
 from __future__ import annotations
@@ -105,19 +105,6 @@ class Regularizer:
         return f"Regularizer(mu={self.mu})"
 
 
-@dataclass
-class ProblemConstants:
-    """Advisory Lipschitz/variance metadata; never enforced at runtime."""
-
-    c_f: Optional[float] = None
-    c_g: Optional[float] = None
-    l_f: Optional[float] = None
-    l_g: Optional[float] = None
-    sigma0_sq: Optional[float] = None
-    sigma1_sq: Optional[float] = None
-    delta_sq: Optional[float] = None
-
-
 class InnerOracle(ABC):
     """Stochastic scalar-output inner map g_i.
 
@@ -195,8 +182,11 @@ class BlockDualState:
 class ProblemInstance:
     """The tuple (f_i, g_i, r, X) with exact evaluation and sampling support.
 
-    `kernel` optionally exposes a vectorized sampled-block backend used by
-    the solver fast path; `flat_view` optionally exposes the per-sample loss
+    `kernel` optionally exposes a vectorized sampled-block backend (see
+    `instances.CoordinateNoiseKernel`); when set, every block solver (alexr,
+    sox, msvr, bsgd) handles all sampled blocks of a step in one call per
+    kernel method instead of one oracle call per block, with the same random
+    stream and results.  `flat_view` optionally exposes the per-sample loss
     view needed by the SGD baselines; `aux_metrics(x)` optionally reports
     extra named diagnostics alongside the objective.
     """
@@ -207,8 +197,6 @@ class ProblemInstance:
     inners: Sequence[InnerOracle]
     regularizer: Regularizer
     domain: BoxDomain
-    constants: Optional[ProblemConstants] = None
-    m: int = 1
     flat_view: Optional[FlatSampleView] = None
     kernel: object = None
     aux_metrics: object = None
@@ -217,8 +205,6 @@ class ProblemInstance:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidParameterError("n must be at least 1")
-        if self.m != 1:
-            raise InvalidParameterError("only scalar inner outputs (m=1) are implemented")
         if len(self.outers) != self.n or len(self.inners) != self.n:
             raise InvalidParameterError("outers and inners must both have length n")
         if self.domain.dim != self.dim:

@@ -19,10 +19,16 @@ y = f'(u').  Baselines: plug-in biased SGD (bsgd), moving-average tracking
 (sox), its variance-corrected variant (msvr), and flat-sample SGD with
 uniform (sgd_erm) or inverse-group-frequency (sgd_uw) sampling.
 
+One step engine, `_block_step`, runs ALEXR, sox, msvr and bsgd; each solver
+supplies only its elementwise block rule (g_now, g_prev, table) -> (table',
+y): the dual prox or u-tracking with extrapolation, the moving average, the
+msvr-corrected moving average, or the plug-in subgradient.
+
 Randomness ordering contract (relied on by the equivalence tests): each
 iteration consumes, in order, the outer-batch draw, then for each sampled
 block in ascending index order the value batch followed by the Jacobian
-batch.  The vectorized kernel path draws the same stream in one call.
+batch.  The vectorized kernel path draws the same stream in one call, and
+every block solver takes that path when the problem has a kernel.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    DivergenceError,
     FlatViewUnavailableError,
     InvalidParameterError,
     NotSmoothError,
@@ -198,11 +205,6 @@ def init_alexr_state(cfg, problem):
                       rng=np.random.default_rng(cfg.seed))
 
 
-def dual_update_quadratic(f, y_block, g_tilde, tau):
-    """Mirror-prox dual step with the quadratic distance-generating choice."""
-    return f.prox_dual_quadratic(y_block, g_tilde, tau)
-
-
 def dual_update_conjugate(f, u_block, g_tilde, tau):
     """Dual step under the conjugate distance-generating choice, tracked
     through u:  u' = (tau*u + g~)/(1+tau),  y' = f'(u')."""
@@ -212,70 +214,69 @@ def dual_update_conjugate(f, u_block, g_tilde, tau):
     return u_new, f.grad(u_new)
 
 
-def alexr_step(state, cfg, problem):
-    """One full iteration; mutates and returns `state`."""
-    if problem.kernel is not None:
-        return _alexr_step_kernel(state, cfg, problem)
+def _block_step(state, problem, S, B, eta, table, rule, needs_prev):
+    """One iteration of a block-sampling solver; mutates and returns `state`.
+
+    Samples the outer batch, draws each sampled block's value and Jacobian
+    batches, and estimates g_now = g(x_t; B) (and g_prev = g(x_{t-1}; B) on
+    the same batch when `needs_prev`).  `rule(f, table_slice, g_now, g_prev)`
+    returns the new table entries and the dual weights y; `table` (None when
+    the solver keeps none) is updated in place at the sampled blocks.  The
+    Jacobian-transpose products at the second batch with weights y are
+    averaged into G, and the primal takes a prox step with coefficient eta.
+    With a `kernel` the sampled blocks are handled as vectors, otherwise one
+    by one in ascending index order; both consume the same random stream.
+    """
     rng = state.rng
-    idx = sample_outer_batch(rng, problem.n, cfg.S)
+    idx = sample_outer_batch(rng, problem.n, S)
     G = np.zeros(problem.dim)
-    blocks = state.dual.blocks
-    conj = cfg.psi_mode == PSI_CONJUGATE
-    for i in idx:
-        orc = problem.inners[i]
-        f = problem.outers[i]
-        b_val = orc.sample_batch(rng, cfg.B)
-        b_jac = orc.sample_batch(rng, cfg.B)
-        g_now = orc.stochastic_value(state.x, b_val)
-        if cfg.theta != 0.0:
-            g_tilde = g_now + cfg.theta * (g_now - orc.stochastic_value(state.x_prev, b_val))
-        else:
-            g_tilde = g_now
-        if conj:
-            u_new, y_new = dual_update_conjugate(f, blocks[i], g_tilde, cfg.tau)
-            blocks[i] = u_new
-        else:
-            y_new = dual_update_quadratic(f, blocks[i], g_tilde, cfg.tau)
-            blocks[i] = y_new
-        orc.accumulate_jtvp(G, state.x, b_jac, y_new, 1.0 / cfg.S)
-    x_new = primal_prox_step(state.x, G, cfg.eta, problem.regularizer, problem.domain)
-    state.x_prev = state.x
-    state.x = x_new
-    state.t += 1
-    state.oracle_count += 2 * cfg.S * cfg.B
-    return state
-
-
-def _alexr_step_kernel(state, cfg, problem):
-    """Vectorized step over the sampled blocks; same randomness stream and
-    semantics as the generic path."""
     kern = problem.kernel
-    rng = state.rng
-    idx = sample_outer_batch(rng, problem.n, cfg.S)
-    z = kern.draw(rng, len(idx), cfg.B)  # (S, 2, B): value batches, then Jacobian batches
-    noise = kern.value_noise(z)
-    g_now = kern.values(state.x, idx, noise)
-    if cfg.theta != 0.0:
-        g_tilde = g_now + cfg.theta * (g_now - kern.values(state.x_prev, idx, noise))
+    if kern is not None:
+        z = kern.draw(rng, len(idx), B)  # (S, 2, B): value batches, then Jacobian batches
+        noise = kern.value_noise(z)
+        g_now = kern.values(state.x, idx, noise)
+        g_prev = kern.values(state.x_prev, idx, noise) if needs_prev else None
+        new, y = rule(kern.shared_outer, None if table is None else table[idx], g_now, g_prev)
+        if table is not None:
+            table[idx] = new
+        kern.accumulate_grad(G, state.x, idx, z[:, 1, :], y, 1.0 / S)
     else:
-        g_tilde = g_now
-    blocks = state.dual.blocks
-    f = kern.shared_outer
-    if cfg.psi_mode == PSI_CONJUGATE:
-        u_new = (cfg.tau * blocks[idx] + g_tilde) / (1.0 + cfg.tau)
-        blocks[idx] = u_new
-        y_new = f.grad(u_new)
-    else:
-        y_new = f.prox_dual_quadratic(blocks[idx], g_tilde, cfg.tau)
-        blocks[idx] = y_new
-    G = np.zeros(problem.dim)
-    kern.accumulate_grad(G, state.x, idx, z[:, 1, :], y_new, 1.0 / cfg.S)
-    x_new = primal_prox_step(state.x, G, cfg.eta, problem.regularizer, problem.domain)
+        for i in idx:
+            orc = problem.inners[i]
+            b_val = orc.sample_batch(rng, B)
+            b_jac = orc.sample_batch(rng, B)
+            g_now = orc.stochastic_value(state.x, b_val)
+            g_prev = orc.stochastic_value(state.x_prev, b_val) if needs_prev else None
+            new, y = rule(problem.outers[i], None if table is None else table[i], g_now, g_prev)
+            if table is not None:
+                table[i] = new
+            orc.accumulate_jtvp(G, state.x, b_jac, y, 1.0 / S)
+    x_new = primal_prox_step(state.x, G, eta, problem.regularizer, problem.domain)
     state.x_prev = state.x
     state.x = x_new
     state.t += 1
-    state.oracle_count += 2 * cfg.S * cfg.B
+    state.oracle_count += 2 * S * B
     return state
+
+
+def alexr_step(state, cfg, problem):
+    """One full iteration: extrapolated estimate g~ = g_now + theta*(g_now -
+    g_prev), then the quadratic dual prox or the conjugate u-tracking step
+    on each sampled block; mutates and returns `state`."""
+    theta, tau = cfg.theta, cfg.tau
+
+    def extrapolate(g_now, g_prev):
+        return g_now + theta * (g_now - g_prev) if theta != 0.0 else g_now
+
+    if cfg.psi_mode == PSI_CONJUGATE:
+        def rule(f, u, g_now, g_prev):
+            return dual_update_conjugate(f, u, extrapolate(g_now, g_prev), tau)
+    else:
+        def rule(f, y, g_now, g_prev):
+            y_new = f.prox_dual_quadratic(y, extrapolate(g_now, g_prev), tau)
+            return y_new, y_new
+    return _block_step(state, problem, cfg.S, cfg.B, cfg.eta, state.dual.blocks, rule,
+                       theta != 0.0)
 
 
 def msvr_beta(n, S, gamma):
@@ -309,57 +310,35 @@ def _outer_slope(f, u, allow_subgradient):
 def sox_step(state, cfg, problem):
     """Moving-average inner tracking: u' = (1-gamma)*u + gamma*g(x; B) for
     sampled blocks, gradient through f'(u'), proximal primal step."""
-    rng = state.rng
-    idx = sample_outer_batch(rng, problem.n, cfg.S)
-    G = np.zeros(problem.dim)
-    for i in idx:
-        orc = problem.inners[i]
-        b_val = orc.sample_batch(rng, cfg.B)
-        b_jac = orc.sample_batch(rng, cfg.B)
-        u_new = (1.0 - cfg.gamma) * state.u[i] + cfg.gamma * orc.stochastic_value(state.x, b_val)
-        state.u[i] = u_new
-        y = _outer_slope(problem.outers[i], u_new, cfg.subgradient_fallback)
-        orc.accumulate_jtvp(G, state.x, b_jac, y, 1.0 / cfg.S)
-    _baseline_primal(state, cfg, problem, G)
-    return state
+    gamma, fallback = cfg.gamma, cfg.subgradient_fallback
+
+    def rule(f, u, g_now, _g_prev):
+        u_new = (1.0 - gamma) * u + gamma * g_now
+        return u_new, _outer_slope(f, u_new, fallback)
+    return _block_step(state, problem, cfg.S, cfg.B, cfg.step, state.u, rule, False)
 
 
 def msvr_step(state, cfg, problem):
     """sox tracking plus the staleness correction
     beta * (g(x_t; B) - g(x_{t-1}; B)) with beta = (n-S)/(S*(1-gamma)) + 1-gamma.
     Non-smooth outer functions always fall back to subgradients here."""
-    rng = state.rng
-    beta = msvr_beta(problem.n, cfg.S, cfg.gamma)
-    idx = sample_outer_batch(rng, problem.n, cfg.S)
-    G = np.zeros(problem.dim)
-    for i in idx:
-        orc = problem.inners[i]
-        b_val = orc.sample_batch(rng, cfg.B)
-        b_jac = orc.sample_batch(rng, cfg.B)
-        g_now = orc.stochastic_value(state.x, b_val)
-        g_prev = orc.stochastic_value(state.x_prev, b_val)
-        u_new = (1.0 - cfg.gamma) * state.u[i] + cfg.gamma * g_now + beta * (g_now - g_prev)
-        state.u[i] = u_new
-        y = _outer_slope(problem.outers[i], u_new, True)
-        orc.accumulate_jtvp(G, state.x, b_jac, y, 1.0 / cfg.S)
-    _baseline_primal(state, cfg, problem, G)
-    return state
+    gamma = cfg.gamma
+    beta = msvr_beta(problem.n, cfg.S, gamma)
+
+    def rule(f, u, g_now, g_prev):
+        u_new = (1.0 - gamma) * u + gamma * g_now + beta * (g_now - g_prev)
+        return u_new, _outer_slope(f, u_new, True)
+    return _block_step(state, problem, cfg.S, cfg.B, cfg.step, state.u, rule, True)
+
+
+def _plugin_rule(f, _table, g_now, _g_prev):
+    return None, f.subgradient(g_now)
 
 
 def bsgd_step(state, cfg, problem):
     """Plug-in biased estimator: y = f'(g(x; B)) from one batch, Jacobian
     from an independent batch, proximal primal step; no dual state."""
-    rng = state.rng
-    idx = sample_outer_batch(rng, problem.n, cfg.S)
-    G = np.zeros(problem.dim)
-    for i in idx:
-        orc = problem.inners[i]
-        b_val = orc.sample_batch(rng, cfg.B)
-        b_jac = orc.sample_batch(rng, cfg.B)
-        y = problem.outers[i].subgradient(orc.stochastic_value(state.x, b_val))
-        orc.accumulate_jtvp(G, state.x, b_jac, y, 1.0 / cfg.S)
-    _baseline_primal(state, cfg, problem, G)
-    return state
+    return _block_step(state, problem, cfg.S, cfg.B, cfg.step, None, _plugin_rule, False)
 
 
 def sgd_step(state, cfg, problem):
@@ -381,14 +360,6 @@ def sgd_step(state, cfg, problem):
     state.t += 1
     state.oracle_count += k
     return state
-
-
-def _baseline_primal(state, cfg, problem, G):
-    x_new = primal_prox_step(state.x, G, cfg.step, problem.regularizer, problem.domain)
-    state.x_prev = state.x
-    state.x = x_new
-    state.t += 1
-    state.oracle_count += 2 * cfg.S * cfg.B
 
 
 _BASELINE_STEPS = {
@@ -476,6 +447,9 @@ def run(solver, problem, eval_every, f_star=None, x_star=None, measure="auto"):
     start = time.perf_counter_ns()
 
     def record():
+        table = state.dual.blocks if is_alexr else state.u
+        if not (np.all(np.isfinite(state.x)) and (table is None or np.all(np.isfinite(table)))):
+            raise DivergenceError(solver.label, state.t)
         x_avg = x_sum / state.t if state.t > 0 else state.x.copy()
         obj = evaluate_objective(problem, state.x) if exact_ok else float("nan")
         obj_avg = evaluate_objective(problem, x_avg) if exact_ok else float("nan")

@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
 report.  The heavy benchmark criteria (01, 02, 09) dominate the runtime;
-the whole module completes in roughly ten minutes on one core.
+the whole module completes in roughly ten minutes on one core.  They carry
+the `slow` marker, so `pytest -m "not slow"` skips them.
 """
 
 import json
@@ -11,6 +12,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 from fcco.datasets import build_synthetic_gdro
 from fcco.harness import run_experiment, sweep_rate, validate_config
@@ -46,6 +48,7 @@ def report(number, name, ok, detail):
 # -- 01 ----------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_01_hard_instance_optimum_recovery():
     start = time.perf_counter()
     inst = build_hard_smooth(100, 0.3, 1.0)
@@ -66,6 +69,7 @@ def test_01_hard_instance_optimum_recovery():
 # -- 02 ----------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_02a_rate_slope_strongly_convex(tmp_path):
     start = time.perf_counter()
     config = validate_config({
@@ -89,6 +93,7 @@ def test_02a_rate_slope_strongly_convex(tmp_path):
            f"runtime {elapsed:.0f}s < 600s")
 
 
+@pytest.mark.slow
 def test_02b_rate_slope_nonsmooth_convex(tmp_path):
     start = time.perf_counter()
     config = validate_config({
@@ -322,6 +327,7 @@ def test_08_gdro_duality_sanity():
 # -- 09 ----------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_09_gdro_solve_quality():
     start = time.perf_counter()
     data = build_synthetic_gdro(20, 10, 200, 0.5, np.random.default_rng(0))

@@ -54,6 +54,17 @@ def test_parse_libsvm_error_line_numbers():
         parse_libsvm("label 1:1\n")
 
 
+def test_parse_libsvm_rejects_non_finite_values():
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(LibsvmParseError) as exc:
+            parse_libsvm(f"+1 1:0.5\n\n-1 1:1 4:{bad}\n+1 2:1\n")
+        assert exc.value.line_no == 3
+        assert "non-finite" in str(exc.value)
+    with pytest.raises(LibsvmParseError) as exc:
+        parse_libsvm("+1 1:0.5\nnan 1:1\n")
+    assert exc.value.line_no == 2
+
+
 def test_libsvm_round_trip_random_rows():
     rng = np.random.default_rng(0)
     rows = rng.standard_normal((1000, 8))
@@ -92,6 +103,13 @@ def test_load_grouped_csv_basic():
 def test_load_grouped_csv_missing_column():
     with pytest.raises(DataError):
         load_grouped_csv(CSV, group_column="nope")
+
+
+def test_load_grouped_csv_rejects_non_finite_features():
+    for bad in ("nan", "inf", "-inf"):
+        text = f"f0,f1,label,group\n1.0,2.0,1,a\n3.0,{bad},-1,b\n"
+        with pytest.raises(DataError, match=r"row 2: non-finite value in feature column 'f1'"):
+            load_grouped_csv(text, group_column="group")
 
 
 def test_load_grouped_csv_singleton_warns_and_threshold_drops():

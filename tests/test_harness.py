@@ -58,6 +58,36 @@ def test_validate_config_unknown_builder():
     assert exc.value.field == "problem.builder"
 
 
+@pytest.mark.parametrize("edit, field", [
+    (lambda c: c["solvers"][1]["params"].update(stepp=3.0), "solvers[1].params.stepp"),
+    (lambda c: c["solvers"][1]["params"].update(gama=0.1), "solvers[1].params.gama"),
+    (lambda c: c["solvers"][0].update(grid={"etaa": [0.5, 1.0]}), "solvers[0].grid.etaa"),
+    # preset-only keys are typos for explicit step sizes, and vice versa
+    (lambda c: c["solvers"][0]["params"].update(eta_coeff=2.0), "solvers[0].params.eta_coeff"),
+    (lambda c: c["solvers"][0]["params"].update(preset="convexx"), "solvers[0].params.preset"),
+    (lambda c: c["problem"]["params"].update(nn=5), "problem.params.nn"),
+])
+def test_validate_config_rejects_unknown_parameter_keys(edit, field):
+    bad = json.loads(json.dumps(BASE_CONFIG))
+    edit(bad)
+    with pytest.raises(ConfigValidationError) as exc:
+        validate_config(bad)
+    assert exc.value.field == field
+
+
+def test_validate_config_accepts_every_key_make_solver_reads():
+    config = json.loads(json.dumps(BASE_CONFIG))
+    config["solvers"] = [
+        {"name": "alexr", "params": {"preset": "strongly_convex", "mu": 0.1, "epsilon": 1e-3,
+                                     "theta_margin": 0.5, "psi_mode": "quadratic", "S": 2}},
+        {"name": "alexr", "params": {"preset": "convex", "eta_coeff": 1.0, "tau_coeff": 1.0},
+         "grid": {"theta": [0.0, 1.0]}},
+        {"name": "sox", "params": {"step": 1.0, "gamma": 0.5, "averaging": "last",
+                                   "subgradient_fallback": True, "T": 3}},
+    ]
+    validate_config(config)
+
+
 def test_validate_config_bad_epsilons():
     bad = json.loads(json.dumps(BASE_CONFIG))
     bad["epsilons"] = [0.01, 0.02]

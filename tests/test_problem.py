@@ -271,9 +271,3 @@ def test_instance_validation_rules():
             inners=[AffineScalarOracle(a=[1.0])] * 2,
             regularizer=Regularizer(), domain=BoxDomain.unbounded(1),
         )
-    with pytest.raises(InvalidParameterError):
-        ProblemInstance(
-            n=1, dim=1, outers=[PositivePart()],
-            inners=[AffineScalarOracle(a=[1.0])],
-            regularizer=Regularizer(), domain=BoxDomain.unbounded(1), m=2,
-        )

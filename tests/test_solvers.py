@@ -6,16 +6,19 @@ import numpy as np
 import pytest
 
 from fcco.errors import (
+    DivergenceError,
     FlatViewUnavailableError,
     InvalidParameterError,
     NotSmoothError,
 )
-from fcco.datasets import build_synthetic_gdro
+from fcco.datasets import build_synthetic_gdro, build_synthetic_pauc
 from fcco.instances import (
     AffineScalarOracle,
     GaussianNoise,
     build_gdro,
+    build_hard_nonsmooth,
     build_hard_smooth,
+    build_pauc,
 )
 from fcco.outers import HalfSquareShift, HuberHard, Identity, PositivePart
 from fcco.problem import (
@@ -32,7 +35,6 @@ from fcco.solvers import (
     alexr_step,
     bsgd_step,
     dual_update_conjugate,
-    dual_update_quadratic,
     init_alexr_state,
     init_baseline_state,
     msvr_beta,
@@ -101,11 +103,11 @@ def test_primal_prox_first_order_optimality():
 
 
 def test_dual_update_quadratic_examples():
-    assert dual_update_quadratic(PositivePart(), 0.0, -1.0, 1.0) == 0.0
+    assert PositivePart().prox_dual_quadratic(0.0, -1.0, 1.0) == 0.0
     from fcco.outers import ScaledPositivePart, HingeHard
 
-    assert dual_update_quadratic(ScaledPositivePart(0.5), 0.2, 0.5, 2.0) == pytest.approx(0.45)
-    assert dual_update_quadratic(HingeHard(1.0, 0.2), 0.5, 0.0, 1e6) == pytest.approx(0.5, abs=1e-6)
+    assert ScaledPositivePart(0.5).prox_dual_quadratic(0.2, 0.5, 2.0) == pytest.approx(0.45)
+    assert HingeHard(1.0, 0.2).prox_dual_quadratic(0.5, 0.0, 1e6) == pytest.approx(0.5, abs=1e-6)
 
 
 def test_dual_update_conjugate_examples():
@@ -215,23 +217,45 @@ def test_baseline_oracle_accounting(variant):
     assert rec.rows[-1].oracle_count == 2 * 4 * 3 * 5
 
 
+def _block_solver_cases(smooth):
+    """(config, init, step, table) for every block solver; conjugate-mode
+    ALEXR needs smooth outers."""
+    alexr = [AlexrConfig(eta=0.1, tau=0.8, theta=theta, S=4, B=2, T=50, seed=11)
+             for theta in (0.0, 1.0)]
+    if smooth:
+        alexr.append(AlexrConfig(eta=0.1, tau=0.8, theta=0.5, S=4, B=2, T=50,
+                                 psi_mode="conjugate", seed=11))
+    cases = [(cfg, init_alexr_state, alexr_step, lambda s: s.dual.blocks) for cfg in alexr]
+    for variant, step in (("sox", sox_step), ("msvr", msvr_step), ("bsgd", bsgd_step)):
+        cfg = BaselineConfig(variant=variant, step=10.0, gamma=0.5, S=4, B=2, T=50, seed=11,
+                             subgradient_fallback=True)
+        cases.append((cfg, init_baseline_state, step, lambda s: s.u))
+    return cases
+
+
 def test_kernel_and_generic_paths_agree():
-    # the vectorized backend must reproduce the per-block path exactly
-    inst = build_hard_smooth(12, 0.3, 1.0)
-    generic = ProblemInstance(
-        n=12, dim=12, outers=inst.problem.outers, inners=inst.problem.inners,
-        regularizer=inst.problem.regularizer, domain=inst.problem.domain,
-    )
-    for psi_mode, theta in (("quadratic", 1.0), ("conjugate", 0.5)):
-        cfg = AlexrConfig(eta=0.1, tau=0.8, theta=theta, S=4, B=2, T=50,
-                          psi_mode=psi_mode, seed=11)
-        s_fast = init_alexr_state(cfg, inst.problem)
-        s_slow = init_alexr_state(cfg, generic)
-        for _ in range(50):
-            alexr_step(s_fast, cfg, inst.problem)
-            alexr_step(s_slow, cfg, generic)
-        assert np.allclose(s_fast.x, s_slow.x, atol=1e-12)
-        assert np.allclose(s_fast.dual.blocks, s_slow.dual.blocks, atol=1e-12)
+    # the vectorized backend must reproduce the per-block path bitwise for
+    # every block solver: same random stream, same elementwise arithmetic
+    for inst, smooth in ((build_hard_smooth(12, 0.3, 1.0), True),
+                         (build_hard_nonsmooth(12, 0.5, 1.0, 1.0, 1.0), False)):
+        problem = inst.problem
+        generic = ProblemInstance(
+            n=12, dim=12, outers=problem.outers, inners=problem.inners,
+            regularizer=problem.regularizer, domain=problem.domain,
+        )
+        for cfg, init, step, table in _block_solver_cases(smooth):
+            s_fast = init(cfg, problem)
+            s_slow = init(cfg, generic)
+            for _ in range(50):
+                step(s_fast, cfg, problem)
+                step(s_slow, cfg, generic)
+            assert np.array_equal(s_fast.x, s_slow.x), cfg
+            assert np.array_equal(s_fast.x_prev, s_slow.x_prev), cfg
+            if table(s_slow) is None:
+                assert table(s_fast) is None
+            else:
+                assert np.array_equal(table(s_fast), table(s_slow)), cfg
+            assert s_fast.oracle_count == s_slow.oracle_count == 50 * 2 * 4 * 2
 
 
 def test_conjugate_mode_requires_smooth_outers():
@@ -535,6 +559,18 @@ def test_run_uniform_average_is_running_mean():
     rec = run(cfg, inst.problem, eval_every=30)
     assert np.allclose(rec.x_avg, np.mean(xs, axis=0), atol=1e-12)
     assert np.allclose(rec.x_last, xs[-1], atol=1e-12)
+
+
+def test_run_reports_divergence_with_solver_and_iteration():
+    # a NaN iterate on pAUC's unbounded domain is divergence, not a domain violation
+    data = build_synthetic_pauc(20, 60, 5, 1.0, 0.5, np.random.default_rng(0))
+    problem = build_pauc(data)
+    cfg = AlexrConfig(eta=1e-9, tau=1e-9, theta=0.0, S=4, B=4, T=60, seed=0, label="tiny_steps")
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+        run(cfg, problem, eval_every=1)
+    assert err.value.solver == "tiny_steps"
+    assert 0 < err.value.t <= 60
+    assert "tiny_steps" in str(err.value) and f"t={err.value.t}" in str(err.value)
 
 
 def test_run_average_distance_decreases_on_seed_mean():
