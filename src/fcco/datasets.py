@@ -5,8 +5,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import List
 
 import numpy as np
@@ -64,6 +66,25 @@ def _lines(stream):
     return stream
 
 
+def _token_error(line_no, pairs):
+    """Raise the error of the first bad 'idx:val' token on a line that
+    failed the per-line checks in parse_libsvm."""
+    prev = 0
+    for tok in pairs:
+        try:
+            idx_str, val_str = tok.split(":", 1)
+            idx = int(idx_str)
+            float(val_str)
+        except ValueError:
+            raise LibsvmParseError(line_no, f"malformed token {tok!r}")
+        if idx < 1:
+            raise LibsvmParseError(line_no, f"index {idx} must be >= 1")
+        if idx <= prev:
+            raise LibsvmParseError(line_no, f"indices not strictly increasing at {idx}")
+        prev = idx
+    raise AssertionError(f"line {line_no} failed its checks but has no bad token")
+
+
 def parse_libsvm(stream):
     """Parse sparse 'label idx:val ...' text (1-based, strictly increasing
     indices per line).  Returns (csr_matrix, labels); the width is the
@@ -74,10 +95,9 @@ def parse_libsvm(stream):
     data, indices, indptr = [], [], [0]
     max_index = 0
     for line_no, raw in enumerate(_lines(stream), start=1):
-        line = raw.strip()
-        if not line:
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
         try:
             labels.append(float(tokens[0]))
         except ValueError:
@@ -85,31 +105,32 @@ def parse_libsvm(stream):
         if not math.isfinite(labels[-1]):
             raise LibsvmParseError(line_no, f"non-finite label {tokens[0]!r}")
         row_lines.append(line_no)
-        prev = 0
-        for tok in tokens[1:]:
+        pairs = tokens[1:]
+        if pairs:
+            flat = ":".join(pairs).split(":")
             try:
-                idx_str, val_str = tok.split(":", 1)
-                idx = int(idx_str)
-                val = float(val_str)
+                idxs = list(map(int, flat[0::2]))
+                vals = list(map(float, flat[1::2]))
             except ValueError:
-                raise LibsvmParseError(line_no, f"malformed token {tok!r}")
-            if idx < 1:
-                raise LibsvmParseError(line_no, f"index {idx} must be >= 1")
-            if idx <= prev:
-                raise LibsvmParseError(line_no, f"indices not strictly increasing at {idx}")
-            prev = idx
-            indices.append(idx - 1)
-            data.append(val)
-            max_index = max(max_index, idx)
+                idxs = None
+            # the pieces alternate index, value only if every token holds
+            # exactly one ':'; the indices must then start at 1 and increase
+            if (idxs is None or len(flat) != 2 * len(pairs)
+                    or not all(map(str.__contains__, pairs, repeat(":")))
+                    or idxs[0] < 1 or not all(map(operator.lt, idxs, idxs[1:]))):
+                _token_error(line_no, pairs)
+            indices += idxs
+            data += vals
+            max_index = max(max_index, idxs[-1])
         indptr.append(len(indices))
     data = np.asarray(data, dtype=float)
     indptr = np.asarray(indptr, dtype=int)
     bad = np.flatnonzero(~np.isfinite(data))
     if bad.size:
         row = int(np.searchsorted(indptr, bad[0], side="right")) - 1
-        raise LibsvmParseError(row_lines[row], f"non-finite value at index {indices[bad[0]] + 1}")
+        raise LibsvmParseError(row_lines[row], f"non-finite value at index {indices[bad[0]]}")
     mat = sp.csr_matrix(
-        (data, np.asarray(indices, dtype=int), indptr),
+        (data, np.asarray(indices, dtype=int) - 1, indptr),
         shape=(len(labels), max_index),
     )
     return mat, np.asarray(labels)
@@ -118,10 +139,13 @@ def parse_libsvm(stream):
 def dump_libsvm(features, labels, stream):
     """Serialize rows in the same sparse text format (17-digit floats)."""
     mat = sp.csr_matrix(features)
+    indptr = mat.indptr.tolist()
+    indices = mat.indices.tolist()
+    values = mat.data.tolist()
     for i, label in enumerate(labels):
-        row = mat.getrow(i)
+        lo, hi = indptr[i], indptr[i + 1]
         parts = [f"{label:.17g}"]
-        parts += [f"{j + 1}:{v:.17g}" for j, v in zip(row.indices, row.data)]
+        parts += [f"{j + 1}:{v:.17g}" for j, v in zip(indices[lo:hi], values[lo:hi])]
         stream.write(" ".join(parts) + "\n")
 
 

@@ -482,7 +482,11 @@ def _surrogate(kind):
 
 class PaucInnerOracle(InnerOracle):
     """g_i(w, s) = mean_j ell(<w, a_j - a_i>) - s over negatives a_j for one
-    positive a_i; batches sample negatives with replacement."""
+    positive a_i; batches sample negatives with replacement.
+
+    Scores are computed as `neg @ w - pos.w` and the Jacobian's w-part as
+    `slopes @ neg - sum(slopes) * pos`, so no (negatives x d) difference
+    matrix is ever built."""
 
     is_affine = False
     is_smooth = True
@@ -494,25 +498,30 @@ class PaucInnerOracle(InnerOracle):
         self.val, self.deriv = _surrogate(surrogate)
         self.size = len(self.neg)
 
-    def _scores(self, w, rows):
-        return (self.neg[rows] - self.pos) @ w
-
     def exact_value(self, x):
         w, s = x[:-1], float(x[-1])
-        return float(np.mean(self.val((self.neg - self.pos) @ w))) - s
+        return float(np.mean(self.val(self.neg @ w - self.pos @ w))) - s
 
     def stochastic_value(self, x, batch):
         w, s = x[:-1], float(x[-1])
-        return float(np.mean(self.val(self._scores(w, batch)))) - s
+        return float(np.mean(self.val(self.neg[batch] @ w - self.pos @ w))) - s
+
+    def _jt_sum(self, w, batch):
+        """sum_j ell'(<w, a_j - a_i>) (a_j - a_i) over the batch's negatives."""
+        neg_b = self.neg[batch]
+        slopes = self.deriv(neg_b @ w - self.pos @ w)
+        return slopes @ neg_b - slopes.sum() * self.pos
 
     def stochastic_jtvp(self, x, batch, y):
-        w = x[:-1]
-        diffs = self.neg[batch] - self.pos
-        slopes = self.deriv(diffs @ w)
         out = np.empty(len(x))
-        out[:-1] = y * (diffs.T @ slopes) / len(batch)
+        out[:-1] = y * self._jt_sum(x[:-1], batch) / len(batch)
         out[-1] = -y
         return out
+
+    def accumulate_jtvp(self, out, x, batch, y, scale):
+        coeff = scale * y
+        out[:-1] += (coeff / len(batch)) * self._jt_sum(x[:-1], batch)
+        out[-1] -= coeff
 
     def sample_batch(self, rng, size):
         return rng.integers(0, self.size, size=size)

@@ -421,6 +421,8 @@ def run(solver, problem, eval_every, f_star=None, x_star=None, measure="auto"):
     measure='objective' it is F(x_t) - f_star; 'auto' picks 'distance' when
     averaging='last' and x_star is known, else 'objective_avg' when f_star
     is known, else NaN.  Deterministic for a fixed (solver, problem, seed).
+    Raises DivergenceError at the first iteration whose iterate or dual or
+    tracker table is not finite, whatever `eval_every` is.
     """
     if eval_every < 1:
         raise InvalidParameterError("eval_every must be at least 1")
@@ -447,9 +449,6 @@ def run(solver, problem, eval_every, f_star=None, x_star=None, measure="auto"):
     start = time.perf_counter_ns()
 
     def record():
-        table = state.dual.blocks if is_alexr else state.u
-        if not (np.all(np.isfinite(state.x)) and (table is None or np.all(np.isfinite(table)))):
-            raise DivergenceError(solver.label, state.t)
         x_avg = x_sum / state.t if state.t > 0 else state.x.copy()
         obj = evaluate_objective(problem, state.x) if exact_ok else float("nan")
         obj_avg = evaluate_objective(problem, x_avg) if exact_ok else float("nan")
@@ -471,10 +470,14 @@ def run(solver, problem, eval_every, f_star=None, x_star=None, measure="auto"):
             wall_nanos=time.perf_counter_ns() - start, extras=extras,
         ))
 
-    record()
-    for t in range(1, solver.T + 1):
-        step_fn(state, solver, problem)
-        x_sum += state.x
+    for t in range(solver.T + 1):
+        if t:
+            step_fn(state, solver, problem)
+            x_sum += state.x
+        table = state.dual.blocks if is_alexr else state.u
+        # checked every iteration, so the error names the first non-finite t
+        if not (np.isfinite(state.x).all() and (table is None or np.isfinite(table).all())):
+            raise DivergenceError(solver.label, state.t)
         if t % eval_every == 0 or t == solver.T:
             record()
 

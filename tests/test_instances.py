@@ -1,5 +1,6 @@
 """Problem builders: hard instances, group-robust training, ranking."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from fcco.datasets import build_synthetic_gdro, build_synthetic_pauc, PaucDataset
 from fcco.errors import InvalidParameterError
 from fcco.instances import (
+    PaucInnerOracle,
     TwoPointNoise,
     build_cvar_scalar,
     build_gdro,
@@ -19,8 +21,8 @@ from fcco.instances import (
     sample_hard_noise,
     solve_cvar_reference,
 )
-from fcco.problem import evaluate_objective
-from fcco.solvers import AlexrConfig, run
+from fcco.problem import InnerOracle, evaluate_objective
+from fcco.solvers import AlexrConfig, BaselineConfig, run
 
 
 # --- two-point noise --------------------------------------------------------
@@ -383,6 +385,77 @@ def test_pauc_exact_stochastic_agreement_on_full_batch():
     for orc in problem.inners:
         assert orc.stochastic_value(x, orc.full_batch()) == pytest.approx(
             orc.exact_value(x), abs=1e-12)
+
+
+class ReferencePaucOracle(PaucInnerOracle):
+    """The pAUC oracle through the explicit (negatives - positive) difference
+    matrix, with the protocol's default accumulate_jtvp."""
+
+    def exact_value(self, x):
+        w, s = x[:-1], float(x[-1])
+        return float(np.mean(self.val((self.neg - self.pos) @ w))) - s
+
+    def stochastic_value(self, x, batch):
+        w, s = x[:-1], float(x[-1])
+        return float(np.mean(self.val((self.neg[batch] - self.pos) @ w))) - s
+
+    def stochastic_jtvp(self, x, batch, y):
+        diffs = self.neg[batch] - self.pos
+        slopes = self.deriv(diffs @ x[:-1])
+        out = np.empty(len(x))
+        out[:-1] = y * (diffs.T @ slopes) / len(batch)
+        out[-1] = -y
+        return out
+
+    accumulate_jtvp = InnerOracle.accumulate_jtvp
+
+
+def _reference_pauc(problem, surrogate="squared_hinge"):
+    inners = [ReferencePaucOracle(g.pos, g.neg, surrogate) for g in problem.inners]
+    return dataclasses.replace(problem, inners=inners)
+
+
+@pytest.mark.parametrize("surrogate", ["squared_hinge", "logistic"])
+def test_pauc_oracle_matches_difference_matrix_reference(surrogate):
+    # float64 with d <= 50: both forms agree to 1e-12 absolute
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        n_pos, n_neg, d = rng.integers(2, 12), rng.integers(1, 80), rng.integers(1, 51)
+        data = build_synthetic_pauc(n_pos, n_neg, d, 1.0, 0.5, rng)
+        problem = build_pauc(data, surrogate=surrogate)
+        reference = _reference_pauc(problem, surrogate)
+        x = rng.standard_normal(d + 1) / math.sqrt(d)
+        for g, ref in zip(problem.inners, reference.inners):
+            batch = g.sample_batch(rng, int(rng.integers(1, 10)))
+            y, scale = float(rng.standard_normal()), float(rng.random())
+            assert abs(g.exact_value(x) - ref.exact_value(x)) <= 1e-12
+            assert abs(g.stochastic_value(x, batch) - ref.stochastic_value(x, batch)) <= 1e-12
+            assert np.max(np.abs(g.stochastic_jtvp(x, batch, y)
+                                 - ref.stochastic_jtvp(x, batch, y))) <= 1e-12
+            start = rng.standard_normal(d + 1)
+            out, ref_out = start.copy(), start.copy()
+            g.accumulate_jtvp(out, x, batch, y, scale)
+            ref.accumulate_jtvp(ref_out, x, batch, y, scale)
+            assert np.max(np.abs(out - ref_out)) <= 1e-12
+
+
+@pytest.mark.parametrize("cfg", [
+    AlexrConfig(eta=10.0, tau=1.0, theta=0.0, S=4, B=4, T=2000, seed=3),
+    AlexrConfig(eta=10.0, tau=1.0, theta=1.0, S=4, B=4, T=2000, seed=4),
+    BaselineConfig("sox", step=10.0, gamma=0.5, S=4, B=4, T=2000, seed=5,
+                   subgradient_fallback=True),
+], ids=["alexr-theta0", "alexr-theta1", "sox"])
+def test_pauc_runs_match_difference_matrix_reference(cfg):
+    # same random stream, so only rounding separates the two oracles
+    data = build_synthetic_pauc(12, 60, 6, 1.0, 0.5, np.random.default_rng(17))
+    problem = build_pauc(data)
+    rec = run(cfg, problem, eval_every=250)
+    ref = run(cfg, _reference_pauc(problem), eval_every=250)
+    scale = np.max(np.abs(ref.x_last))
+    assert np.max(np.abs(rec.x_last - ref.x_last)) <= 1e-9 * scale
+    for row, ref_row in zip(rec.rows, ref.rows, strict=True):
+        assert row.objective == pytest.approx(ref_row.objective, rel=1e-9)
+        assert row.objective_avg == pytest.approx(ref_row.objective_avg, rel=1e-9)
 
 
 def test_gdro_exact_stochastic_agreement_on_full_batch(small_gdro_data):

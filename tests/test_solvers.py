@@ -562,15 +562,20 @@ def test_run_uniform_average_is_running_mean():
 
 
 def test_run_reports_divergence_with_solver_and_iteration():
-    # a NaN iterate on pAUC's unbounded domain is divergence, not a domain violation
+    # a NaN iterate on pAUC's unbounded domain is divergence, not a domain
+    # violation; the check runs every iteration, so the record spacing does
+    # not move the reported t
     data = build_synthetic_pauc(20, 60, 5, 1.0, 0.5, np.random.default_rng(0))
     problem = build_pauc(data)
-    cfg = AlexrConfig(eta=1e-9, tau=1e-9, theta=0.0, S=4, B=4, T=60, seed=0, label="tiny_steps")
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
-        run(cfg, problem, eval_every=1)
-    assert err.value.solver == "tiny_steps"
-    assert 0 < err.value.t <= 60
-    assert "tiny_steps" in str(err.value) and f"t={err.value.t}" in str(err.value)
+    cfg = AlexrConfig(eta=1e-9, tau=1e-9, theta=0.0, S=4, B=4, T=2000, seed=0, label="tiny_steps")
+    ts = []
+    for eval_every in (1, 2000):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+            run(cfg, problem, eval_every=eval_every)
+        assert err.value.solver == "tiny_steps"
+        assert "tiny_steps" in str(err.value) and f"t={err.value.t}" in str(err.value)
+        ts.append(err.value.t)
+    assert 0 < ts[0] == ts[1] < 2000
 
 
 def test_run_average_distance_decreases_on_seed_mean():
