@@ -66,6 +66,11 @@ def _lines(stream):
     return stream
 
 
+# largest 1-based index a row may hold: the matrix width must fit the int64
+# index dtype of the CSR arrays
+MAX_LIBSVM_INDEX = 2 ** 63 - 1
+
+
 def _token_error(line_no, pairs):
     """Raise the error of the first bad 'idx:val' token on a line that
     failed the per-line checks in parse_libsvm."""
@@ -81,16 +86,18 @@ def _token_error(line_no, pairs):
             raise LibsvmParseError(line_no, f"index {idx} must be >= 1")
         if idx <= prev:
             raise LibsvmParseError(line_no, f"indices not strictly increasing at {idx}")
+        if idx > MAX_LIBSVM_INDEX:
+            raise LibsvmParseError(line_no, f"index in token {tok!r} does not fit int64")
         prev = idx
     raise AssertionError(f"line {line_no} failed its checks but has no bad token")
 
 
 def parse_libsvm(stream):
     """Parse sparse 'label idx:val ...' text (1-based, strictly increasing
-    indices per line).  Returns (csr_matrix, labels); the width is the
-    largest index seen.  Blank lines are skipped; malformed input,
-    including a non-finite label or value, raises with the offending line
-    number."""
+    indices per line, each at most MAX_LIBSVM_INDEX).  Returns (csr_matrix,
+    labels); the width is the largest index seen.  Blank lines are skipped;
+    malformed input, including a non-finite label or value, raises with the
+    offending line number."""
     labels, row_lines = [], []
     data, indices, indptr = [], [], [0]
     max_index = 0
@@ -114,10 +121,12 @@ def parse_libsvm(stream):
             except ValueError:
                 idxs = None
             # the pieces alternate index, value only if every token holds
-            # exactly one ':'; the indices must then start at 1 and increase
+            # exactly one ':'; the indices must then start at 1, increase and
+            # fit the index dtype
             if (idxs is None or len(flat) != 2 * len(pairs)
                     or not all(map(str.__contains__, pairs, repeat(":")))
-                    or idxs[0] < 1 or not all(map(operator.lt, idxs, idxs[1:]))):
+                    or idxs[0] < 1 or not all(map(operator.lt, idxs, idxs[1:]))
+                    or idxs[-1] > MAX_LIBSVM_INDEX):
                 _token_error(line_no, pairs)
             indices += idxs
             data += vals
@@ -215,8 +224,13 @@ def load_grouped_csv(stream, group_column, label_column="label", min_group_size=
                           n_groups=len(group_names))
 
 
-def build_synthetic_gdro(n_groups, d, samples_per_group, heterogeneity, rng,
-                         flip_prob=0.02, margin_scale=3.0):
+# label noise of build_synthetic_gdro: the logistic link's slope on the
+# signed margin, and the share of labels flipped afterwards
+GDRO_MARGIN_SCALE = 3.0
+GDRO_FLIP_PROB = 0.02
+
+
+def build_synthetic_gdro(n_groups, d, samples_per_group, heterogeneity, rng):
     """Per-group Gaussian feature clusters labeled by group-specific
     hyperplanes whose spread from a common direction scales with
     `heterogeneity` (0 = one shared hyperplane and identical clusters)."""
@@ -230,9 +244,9 @@ def build_synthetic_gdro(n_groups, d, samples_per_group, heterogeneity, rng,
         w_g /= np.linalg.norm(w_g)
         center = heterogeneity * rng.standard_normal(d)
         x = center + rng.standard_normal((samples_per_group, d))
-        prob = 0.5 * (1.0 + np.tanh(0.5 * margin_scale * (x @ w_g)))
+        prob = 0.5 * (1.0 + np.tanh(0.5 * GDRO_MARGIN_SCALE * (x @ w_g)))
         y = np.where(rng.random(samples_per_group) < prob, 1.0, -1.0)
-        flips = rng.random(samples_per_group) < flip_prob
+        flips = rng.random(samples_per_group) < GDRO_FLIP_PROB
         y[flips] = -y[flips]
         feats.append(x)
         labels.append(y)

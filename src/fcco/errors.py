@@ -17,10 +17,6 @@ class UnsupportedExactEvaluationError(FccoError):
     """Exact objective evaluation requested but an inner oracle cannot provide it."""
 
 
-class RepresentationMismatchError(FccoError):
-    """A dual state in the wrong representation was passed to an operation."""
-
-
 class InvalidBatchSizeError(FccoError):
     """Outer batch size outside [1, n]."""
 

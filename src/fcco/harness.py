@@ -63,6 +63,12 @@ def _check_keys(path, mapping, known):
             _fail(f"{path}.{key}", f"unknown parameter; expected one of {sorted(known)}")
 
 
+def _check_required(path, present, required):
+    for key in required:
+        if key not in present:
+            _fail(f"{path}.{key}", "required parameter is missing")
+
+
 def validate_config(raw):
     """Validate a raw config mapping; raises ConfigValidationError with the
     offending field path."""
@@ -96,10 +102,15 @@ def validate_config(raw):
             known = BASELINE_PARAMS
         for part, keys in (("params", params), ("grid", grid)):
             _check_keys(f"solvers[{i}].{part}", keys, known)
+        # explicit step sizes have no default; planted sweeps build no solver
+        if (solver["name"] == "alexr" and params.get("preset") is None
+                and problem["builder"] != "planted"):
+            _check_required(f"solvers[{i}].params", params.keys() | grid.keys(), ("eta", "tau"))
     problem_params = problem.get("params", {})
     if not isinstance(problem_params, dict):
         _fail("problem.params", "params must be a mapping")
     _check_keys("problem.params", problem_params, BUILDER_PARAMS[problem["builder"]])
+    _check_required("problem.params", problem_params, BUILDER_REQUIRED.get(problem["builder"], ()))
     seeds = raw.get("seeds", [1, 2, 3, 4, 5])
     if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
         _fail("seeds", "need a nonempty list of integer seeds")
@@ -229,6 +240,8 @@ BUILDER_PARAMS = {
     "pauc_libsvm": _PAUC | {"path"},
     "planted": {"coeff", "power"},
 }
+# Parameters without a default: the builder reads them as params[key].
+BUILDER_REQUIRED = {"gdro_csv": ("path",), "pauc_libsvm": ("path",)}
 
 SOLVER_NAMES = ("alexr", "bsgd", "sox", "msvr", "sgd_erm", "sgd_uw")
 

@@ -69,22 +69,14 @@ class GaussianNoise:
         return self.sigma * rng.standard_normal(size)
 
 
-def sample_hard_noise(rng, nu, sigma):
-    """One draw of the hard-instance noise."""
-    return float(TwoPointNoise(nu, sigma).draw(rng, 1)[0])
-
-
 class CoordinateNoiseOracle(InnerOracle):
     """g_i(x; z) = x[i] + z with additive zero-mean noise; the Jacobian is
     the i-th unit vector, independent of x and batch."""
 
     is_affine = True
-    is_smooth = True
-    supports_exact = True
 
-    def __init__(self, index, dim, noise):
+    def __init__(self, index, noise):
         self.index = int(index)
-        self.dim = int(dim)
         self.noise = noise
 
     def exact_value(self, x):
@@ -92,11 +84,6 @@ class CoordinateNoiseOracle(InnerOracle):
 
     def stochastic_value(self, x, batch):
         return float(x[self.index]) + float(batch.mean())
-
-    def stochastic_jtvp(self, x, batch, y):
-        out = np.zeros(self.dim)
-        out[self.index] = y
-        return out
 
     def accumulate_jtvp(self, out, x, batch, y, scale):
         out[self.index] += scale * y
@@ -109,8 +96,6 @@ class AffineScalarOracle(InnerOracle):
     """g(x; z) = a.x + b + z; general affine test oracle."""
 
     is_affine = True
-    is_smooth = True
-    supports_exact = True
 
     def __init__(self, a, b=0.0, noise=None):
         self.a = np.asarray(a, dtype=float)
@@ -123,9 +108,6 @@ class AffineScalarOracle(InnerOracle):
     def stochastic_value(self, x, batch):
         base = self.exact_value(x)
         return base if batch.size == 0 else base + float(batch.mean())
-
-    def stochastic_jtvp(self, x, batch, y):
-        return y * self.a
 
     def accumulate_jtvp(self, out, x, batch, y, scale):
         out += (scale * y) * self.a
@@ -194,7 +176,7 @@ def build_hard_smooth(n, nu, sigma):
         raise InvalidParameterError(f"nu must lie in (0, 1), got {nu}")
     noise = TwoPointNoise(nu, sigma)
     outer = HuberHard(nu)
-    inners = [CoordinateNoiseOracle(i, n, noise) for i in range(n)]
+    inners = [CoordinateNoiseOracle(i, noise) for i in range(n)]
     reg = Regularizer(l2_coeff=1.0 / (2.0 * n))
     domain = BoxDomain.symmetric(1.0, n)
     problem = ProblemInstance(
@@ -218,7 +200,7 @@ def build_hard_nonsmooth(n, nu, beta, alpha_reg, sigma):
         raise InvalidParameterError("alpha_reg must be nonnegative")
     noise = TwoPointNoise(nu, sigma)
     outer = HingeHard(beta, nu)
-    inners = [CoordinateNoiseOracle(i, n, noise) for i in range(n)]
+    inners = [CoordinateNoiseOracle(i, noise) for i in range(n)]
     reg = Regularizer(l2_coeff=alpha_reg / n)
     domain = BoxDomain.symmetric(2.0 * nu, n)
     problem = ProblemInstance(
@@ -277,34 +259,18 @@ class GroupRiskOracle(InnerOracle):
     the group's mean logistic loss.  Exact evaluation is the full-group pass;
     stochastic batches sample within the group with replacement."""
 
-    is_affine = False
-    is_smooth = True
-    supports_exact = True
-
     def __init__(self, feats, labels, lam):
         self.feats = np.asarray(feats, dtype=float)
         self.labels = np.asarray(labels, dtype=float)
         self.lam = float(lam)
         self.size = len(self.labels)
 
-    def _split(self, x):
-        return x[:-1], float(x[-1])
-
     def exact_value(self, x):
-        w, c = self._split(x)
-        return (_logistic_risk(w, self.feats, self.labels) - c) / self.lam
+        return (_logistic_risk(x[:-1], self.feats, self.labels) - float(x[-1])) / self.lam
 
     def stochastic_value(self, x, batch):
-        w, c = self._split(x)
-        return (_logistic_risk(w, self.feats[batch], self.labels[batch]) - c) / self.lam
-
-    def stochastic_jtvp(self, x, batch, y):
-        w, _c = self._split(x)
-        grad_w = _logistic_grad_w(w, self.feats[batch], self.labels[batch])
-        out = np.empty(len(x))
-        out[:-1] = (y / self.lam) * grad_w
-        out[-1] = -y / self.lam
-        return out
+        risk = _logistic_risk(x[:-1], self.feats[batch], self.labels[batch])
+        return (risk - float(x[-1])) / self.lam
 
     def accumulate_jtvp(self, out, x, batch, y, scale):
         grad_w = _logistic_grad_w(x[:-1], self.feats[batch], self.labels[batch])
@@ -315,8 +281,9 @@ class GroupRiskOracle(InnerOracle):
     def sample_batch(self, rng, size):
         return rng.integers(0, self.size, size=size)
 
-    def full_batch(self):
-        return np.arange(self.size)
+
+# share of groups averaged by the chi2 problem's worst_group_risk diagnostic
+CHI2_WORST_SHARE = 0.5
 
 
 class GdroFlatView(FlatSampleView):
@@ -338,15 +305,17 @@ class GdroFlatView(FlatSampleView):
 
 
 def build_gdro(data, divergence="cvar", alpha=None, lam=1.0, weight_decay=0.0,
-               c_bounds=None, risk_bound=4.0, metric_alpha=None):
+               risk_bound=4.0):
     """Group-robust problem in composite dual form over x = (w, c).
 
     divergence='cvar' uses the capped hinge lam*(.)_+*(1/alpha) with inner
     (R_i(w) - c)/lam (any lam yields the same objective; lam=1 gives the
-    plain hinge form).  divergence='chi2' uses the quadratic penalty
-    transform with parameter lam and a dual cap derived from `risk_bound`
-    and the c-interval.  The '+c' term rides on the regularizer's linear
-    part; weight decay applies to w only.
+    plain hinge form) and c in [0, risk_bound].  divergence='chi2' uses the
+    quadratic penalty transform with parameter lam, c in [-lam, risk_bound]
+    and a dual cap derived from `risk_bound` and that interval.  The '+c'
+    term rides on the regularizer's linear part; weight decay applies to w
+    only.  The `worst_group_risk` diagnostic averages the worst
+    ceil(alpha*n) groups under cvar and the worst half under chi2.
     """
     if data.n_groups < 1:
         raise DataError("dataset has no groups")
@@ -358,9 +327,11 @@ def build_gdro(data, divergence="cvar", alpha=None, lam=1.0, weight_decay=0.0,
         if alpha is None or not 0.0 < alpha <= 1.0:
             raise InvalidParameterError(f"cvar needs alpha in (0, 1], got {alpha}")
         outer = ScaledPositivePart(alpha / lam)
-        lo, hi = (0.0, risk_bound) if c_bounds is None else c_bounds
+        lo, hi = 0.0, risk_bound
+        worst_share = alpha
     elif divergence == "chi2":
-        lo, hi = (-lam, risk_bound) if c_bounds is None else c_bounds
+        lo, hi = -lam, risk_bound
+        worst_share = CHI2_WORST_SHARE
         cap = max(risk_bound - lo, risk_bound + hi) / 2.0
         outer = ChiSquareOuter(lam, cap)
     else:
@@ -384,15 +355,13 @@ def build_gdro(data, divergence="cvar", alpha=None, lam=1.0, weight_decay=0.0,
     domain = BoxDomain(lower, upper, dim)
     view = GdroFlatView(data.features, data.labels, data.group_of)
 
-    m_alpha = metric_alpha if metric_alpha is not None else (alpha if divergence == "cvar" else 0.5)
-
     def aux_metrics(x):
         w = x[:-1]
         risks = [
             _logistic_risk(w, data.features[data.group_index[g]], data.labels[data.group_index[g]])
             for g in range(data.n_groups)
         ]
-        k = max(1, math.ceil(m_alpha * data.n_groups))
+        k = max(1, math.ceil(worst_share * data.n_groups))
         worst = float(np.mean(np.sort(risks)[-k:]))
         return {"worst_group_risk": worst}
 
@@ -488,10 +457,6 @@ class PaucInnerOracle(InnerOracle):
     `slopes @ neg - sum(slopes) * pos`, so no (negatives x d) difference
     matrix is ever built."""
 
-    is_affine = False
-    is_smooth = True
-    supports_exact = True
-
     def __init__(self, pos_row, negatives, surrogate):
         self.pos = np.asarray(pos_row, dtype=float)
         self.neg = np.asarray(negatives, dtype=float)
@@ -506,28 +471,17 @@ class PaucInnerOracle(InnerOracle):
         w, s = x[:-1], float(x[-1])
         return float(np.mean(self.val(self.neg[batch] @ w - self.pos @ w))) - s
 
-    def _jt_sum(self, w, batch):
-        """sum_j ell'(<w, a_j - a_i>) (a_j - a_i) over the batch's negatives."""
+    def accumulate_jtvp(self, out, x, batch, y, scale):
+        # the w-part is the batch mean of ell'(<w, a_j - a_i>) (a_j - a_i)
+        w = x[:-1]
         neg_b = self.neg[batch]
         slopes = self.deriv(neg_b @ w - self.pos @ w)
-        return slopes @ neg_b - slopes.sum() * self.pos
-
-    def stochastic_jtvp(self, x, batch, y):
-        out = np.empty(len(x))
-        out[:-1] = y * self._jt_sum(x[:-1], batch) / len(batch)
-        out[-1] = -y
-        return out
-
-    def accumulate_jtvp(self, out, x, batch, y, scale):
         coeff = scale * y
-        out[:-1] += (coeff / len(batch)) * self._jt_sum(x[:-1], batch)
+        out[:-1] += (coeff / len(batch)) * (slopes @ neg_b - slopes.sum() * self.pos)
         out[-1] -= coeff
 
     def sample_batch(self, rng, size):
         return rng.integers(0, self.size, size=size)
-
-    def full_batch(self):
-        return np.arange(self.size)
 
 
 def build_pauc(data, surrogate="squared_hinge", weight_decay=0.0):

@@ -322,16 +322,6 @@ class HalfSquareShift(OuterFunction):
         return f"HalfSquareShift(c={self.c})"
 
 
-def primal_map(f, u):
-    """Gradient map of a smooth outer function (the dual iterate under the
-    conjugate distance-generating choice)."""
-    return f.grad(u)
-
-
-def prox_dual_quadratic(f, y_prev, g_tilde, tau):
-    return f.prox_dual_quadratic(y_prev, g_tilde, tau)
-
-
 def grid_prox_oracle(f, y_prev, g_tilde, tau, grid_size, bounds=None):
     """Brute-force maximizer of the dual prox objective on a uniform grid.
 

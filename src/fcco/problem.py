@@ -27,12 +27,8 @@ from .errors import (
     DomainViolationError,
     InvalidBatchSizeError,
     InvalidParameterError,
-    RepresentationMismatchError,
     UnsupportedExactEvaluationError,
 )
-
-EXPLICIT_DUAL = "explicit_dual"
-U_SEQUENCE = "u_sequence"
 
 
 class BoxDomain:
@@ -63,11 +59,6 @@ class BoxDomain:
 
     def __repr__(self):
         return f"BoxDomain(dim={self.dim}, bounded={self.is_bounded})"
-
-
-def project_box(x, domain):
-    """Coordinate-wise clamp onto the box; idempotent and nonexpansive."""
-    return domain.project(np.asarray(x, dtype=float))
 
 
 class Regularizer:
@@ -110,11 +101,11 @@ class InnerOracle(ABC):
 
     Batch handles are opaque: index arrays for finite-sum oracles, raw noise
     draws for distributional ones.  `sample_batch` is the only method that
-    consumes randomness.
+    consumes randomness.  A custom oracle implements the four abstract
+    methods; `is_affine` and `supports_exact` describe it to the problem.
     """
 
     is_affine = False
-    is_smooth = True
     supports_exact = True
 
     @abstractmethod
@@ -126,20 +117,13 @@ class InnerOracle(ABC):
         """g_i(x; batch)."""
 
     @abstractmethod
-    def stochastic_jtvp(self, x, batch, y):
-        """Jacobian-transpose-vector product [g_i'(x; batch)]^T y, a d-vector."""
+    def accumulate_jtvp(self, out, x, batch, y, scale):
+        """out += scale * [g_i'(x; batch)]^T y, in place: the scaled
+        Jacobian-transpose-vector product added into the d-vector `out`."""
 
     @abstractmethod
     def sample_batch(self, rng, size):
         """Draw a size-`size` mini-batch handle (i.i.d. with replacement)."""
-
-    def accumulate_jtvp(self, out, x, batch, y, scale):
-        """out += scale * [g_i'(x; batch)]^T y, in place."""
-        out += scale * self.stochastic_jtvp(x, batch, y)
-
-    def full_batch(self):
-        """Full-population batch for finite-sum oracles, else None."""
-        return None
 
 
 class FlatSampleView(ABC):
@@ -163,24 +147,13 @@ class FlatSampleView(ABC):
 
 
 @dataclass
-class BlockDualState:
-    """Dual table: one scalar block per component, tagged by representation."""
-
-    blocks: np.ndarray
-    representation: str = EXPLICIT_DUAL
-
-    def __post_init__(self):
-        self.blocks = np.asarray(self.blocks, dtype=float)
-        if self.representation not in (EXPLICIT_DUAL, U_SEQUENCE):
-            raise InvalidParameterError(f"unknown representation {self.representation!r}")
-
-    def copy(self):
-        return BlockDualState(self.blocks.copy(), self.representation)
-
-
-@dataclass
 class ProblemInstance:
     """The tuple (f_i, g_i, r, X) with exact evaluation and sampling support.
+
+    A block solver keeps one scalar per component in its state's `table`
+    (see `solvers.init_state`): the dual values y_i for quadratic ALEXR, the
+    tracked inner values u_i for conjugate ALEXR, sox and msvr; component i
+    of the table is only touched when block i is sampled.
 
     `kernel` optionally exposes a vectorized sampled-block backend (see
     `instances.CoordinateNoiseKernel`); when set, every block solver (alexr,
@@ -240,12 +213,10 @@ def evaluate_objective(problem, x):
 
 
 def evaluate_saddle(problem, x, y):
-    """Saddle value L(x, y) for an explicit dual table."""
-    if y.representation != EXPLICIT_DUAL:
-        raise RepresentationMismatchError("evaluate_saddle needs an explicit dual table")
+    """Saddle value L(x, y) for a length-n array y of dual values."""
     x = np.asarray(x, dtype=float)
     total = 0.0
-    for f, g, yi in zip(problem.outers, problem.inners, y.blocks):
+    for f, g, yi in zip(problem.outers, problem.inners, y):
         total += float(g.exact_value(x)) * float(yi) - float(f.conjugate_value(yi))
     return total / problem.n + problem.regularizer.value(x)
 

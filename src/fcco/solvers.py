@@ -19,6 +19,17 @@ y = f'(u').  Baselines: plug-in biased SGD (bsgd), moving-average tracking
 (sox), its variance-corrected variant (msvr), and flat-sample SGD with
 uniform (sgd_erm) or inverse-group-frequency (sgd_uw) sampling.
 
+Every solver runs on one `SolverState`: the iterates x and x_prev, the
+counters, the run's generator, and `table`, one scalar per component, which
+holds
+  * the dual values y (from y0) for quadratic ALEXR;
+  * the tracked inner values u (from the anchor u0 = f*'(y0), so that
+    f'(u0) = y0) for conjugate ALEXR, sox and msvr; sharing the anchor
+    makes theta=0 conjugate ALEXR with tau equal sox with
+    gamma = 1/(1 + tau) from the first iteration;
+  * nothing (None) for bsgd, sgd_erm and sgd_uw.
+The config's `psi_mode` or `variant` says which; `init_state` builds it.
+
 One step engine, `_block_step`, runs ALEXR, sox, msvr and bsgd; each solver
 supplies only its elementwise block rule (g_now, g_prev, table) -> (table',
 y): the dual prox or u-tracking with extrapolation, the moving average, the
@@ -45,14 +56,7 @@ from .errors import (
     InvalidParameterError,
     NotSmoothError,
 )
-from .problem import (
-    EXPLICIT_DUAL,
-    U_SEQUENCE,
-    BlockDualState,
-    evaluate_objective,
-    primal_prox_step,
-    sample_outer_batch,
-)
+from .problem import evaluate_objective, primal_prox_step, sample_outer_batch
 
 PSI_QUADRATIC = "quadratic"
 PSI_CONJUGATE = "conjugate"
@@ -156,53 +160,47 @@ def convex_preset(S, B, T, epsilon, seed=0, theta=0.0, eta_coeff=1.0,
 
 
 @dataclass
-class AlexrState:
+class SolverState:
+    """Iterates, the per-component table (see the module docstring), the
+    iteration counter, the run's random generator and the oracle count."""
+
     x: np.ndarray
     x_prev: np.ndarray
-    dual: BlockDualState
+    table: Optional[np.ndarray]
     t: int
     rng: np.random.Generator
     oracle_count: int = 0
 
 
-@dataclass
-class BaselineState:
-    x: np.ndarray
-    x_prev: np.ndarray
-    u: Optional[np.ndarray]
-    t: int
-    rng: np.random.Generator
-    oracle_count: int = 0
-
-
-def _initial_dual_block(f):
+def _initial_dual(f):
     lo, hi = f.dual_domain()
     return 0.0 if lo <= 0.0 <= hi else lo
 
 
-def _initial_u_block(f, y0):
+def _u_anchor(f):
     try:
-        return float(f.conjugate_grad(y0))
+        return float(f.conjugate_grad(_initial_dual(f)))
     except NotSmoothError:
         return 0.0
 
 
-def init_alexr_state(cfg, problem):
-    """x0 = 0 box-projected; y0 = 0 where feasible, else the dual lower
-    endpoint; in conjugate mode u0 is chosen so that f'(u0) = y0 when the
-    conjugate gradient exists, else 0."""
+def init_state(cfg, problem):
+    """x0 = 0 box-projected.  y0 = 0 where feasible, else the dual lower
+    endpoint.  The u anchor is f*'(y0), so that f'(u0) = y0, where the
+    conjugate gradient exists, else 0; conjugate mode raises NotSmoothError
+    unless every outer function is smooth."""
     x0 = problem.initial_point()
-    y0 = np.array([_initial_dual_block(f) for f in problem.outers], dtype=float)
-    if cfg.psi_mode == PSI_CONJUGATE:
-        for f in problem.outers:
-            if not f.is_smooth:
-                raise NotSmoothError("conjugate mode requires every outer function smooth")
-        u0 = np.array([_initial_u_block(f, y) for f, y in zip(problem.outers, y0)], dtype=float)
-        dual = BlockDualState(u0, U_SEQUENCE)
+    kind = cfg.psi_mode if isinstance(cfg, AlexrConfig) else cfg.variant
+    if kind == PSI_CONJUGATE and not all(f.is_smooth for f in problem.outers):
+        raise NotSmoothError("conjugate mode requires every outer function smooth")
+    if kind == PSI_QUADRATIC:
+        table = np.array([_initial_dual(f) for f in problem.outers], dtype=float)
+    elif kind in (PSI_CONJUGATE, "sox", "msvr"):
+        table = np.array([_u_anchor(f) for f in problem.outers], dtype=float)
     else:
-        dual = BlockDualState(y0, EXPLICIT_DUAL)
-    return AlexrState(x=x0, x_prev=x0.copy(), dual=dual, t=0,
-                      rng=np.random.default_rng(cfg.seed))
+        table = None
+    return SolverState(x=x0, x_prev=x0.copy(), table=table, t=0,
+                       rng=np.random.default_rng(cfg.seed))
 
 
 def dual_update_conjugate(f, u_block, g_tilde, tau):
@@ -214,20 +212,21 @@ def dual_update_conjugate(f, u_block, g_tilde, tau):
     return u_new, f.grad(u_new)
 
 
-def _block_step(state, problem, S, B, eta, table, rule, needs_prev):
+def _block_step(state, problem, S, B, eta, rule, needs_prev):
     """One iteration of a block-sampling solver; mutates and returns `state`.
 
     Samples the outer batch, draws each sampled block's value and Jacobian
     batches, and estimates g_now = g(x_t; B) (and g_prev = g(x_{t-1}; B) on
     the same batch when `needs_prev`).  `rule(f, table_slice, g_now, g_prev)`
-    returns the new table entries and the dual weights y; `table` (None when
-    the solver keeps none) is updated in place at the sampled blocks.  The
-    Jacobian-transpose products at the second batch with weights y are
-    averaged into G, and the primal takes a prox step with coefficient eta.
+    returns the new table entries and the dual weights y; `state.table`
+    (None when the solver keeps none) is updated in place at the sampled
+    blocks.  The Jacobian-transpose products at the second batch with
+    weights y are averaged into G, and the primal takes a prox step with
+    coefficient eta.
     With a `kernel` the sampled blocks are handled as vectors, otherwise one
     by one in ascending index order; both consume the same random stream.
     """
-    rng = state.rng
+    rng, table = state.rng, state.table
     idx = sample_outer_batch(rng, problem.n, S)
     G = np.zeros(problem.dim)
     kern = problem.kernel
@@ -275,8 +274,7 @@ def alexr_step(state, cfg, problem):
         def rule(f, y, g_now, g_prev):
             y_new = f.prox_dual_quadratic(y, extrapolate(g_now, g_prev), tau)
             return y_new, y_new
-    return _block_step(state, problem, cfg.S, cfg.B, cfg.eta, state.dual.blocks, rule,
-                       theta != 0.0)
+    return _block_step(state, problem, cfg.S, cfg.B, cfg.eta, rule, theta != 0.0)
 
 
 def msvr_beta(n, S, gamma):
@@ -284,19 +282,6 @@ def msvr_beta(n, S, gamma):
     if gamma >= 1.0:
         raise InvalidParameterError("msvr correction degenerates at gamma=1")
     return (n - S) / (S * (1.0 - gamma)) + 1.0 - gamma
-
-
-def init_baseline_state(cfg, problem):
-    x0 = problem.initial_point()
-    u = None
-    if cfg.variant in ("sox", "msvr"):
-        # same tracker anchor as conjugate-mode init, so the theta=0
-        # reduction holds from the first iteration
-        u = np.array([
-            _initial_u_block(f, _initial_dual_block(f)) for f in problem.outers
-        ])
-    return BaselineState(x=x0, x_prev=x0.copy(), u=u, t=0,
-                         rng=np.random.default_rng(cfg.seed))
 
 
 def _outer_slope(f, u, allow_subgradient):
@@ -315,7 +300,7 @@ def sox_step(state, cfg, problem):
     def rule(f, u, g_now, _g_prev):
         u_new = (1.0 - gamma) * u + gamma * g_now
         return u_new, _outer_slope(f, u_new, fallback)
-    return _block_step(state, problem, cfg.S, cfg.B, cfg.step, state.u, rule, False)
+    return _block_step(state, problem, cfg.S, cfg.B, cfg.step, rule, False)
 
 
 def msvr_step(state, cfg, problem):
@@ -328,7 +313,7 @@ def msvr_step(state, cfg, problem):
     def rule(f, u, g_now, g_prev):
         u_new = (1.0 - gamma) * u + gamma * g_now + beta * (g_now - g_prev)
         return u_new, _outer_slope(f, u_new, True)
-    return _block_step(state, problem, cfg.S, cfg.B, cfg.step, state.u, rule, True)
+    return _block_step(state, problem, cfg.S, cfg.B, cfg.step, rule, True)
 
 
 def _plugin_rule(f, _table, g_now, _g_prev):
@@ -338,7 +323,7 @@ def _plugin_rule(f, _table, g_now, _g_prev):
 def bsgd_step(state, cfg, problem):
     """Plug-in biased estimator: y = f'(g(x; B)) from one batch, Jacobian
     from an independent batch, proximal primal step; no dual state."""
-    return _block_step(state, problem, cfg.S, cfg.B, cfg.step, None, _plugin_rule, False)
+    return _block_step(state, problem, cfg.S, cfg.B, cfg.step, _plugin_rule, False)
 
 
 def sgd_step(state, cfg, problem):
@@ -386,7 +371,8 @@ class RunRow:
 
 @dataclass
 class RunRecord:
-    """Per-iteration metric stream plus final iterates and a config echo."""
+    """Per-iteration metric stream plus final iterates and a config echo;
+    `dual_final` is ALEXR's final table (None for the baselines)."""
 
     solver: str
     seed: int
@@ -394,53 +380,47 @@ class RunRecord:
     config: dict
     x_last: np.ndarray
     x_avg: np.ndarray
-    dual_final: Optional[BlockDualState] = None
+    dual_final: Optional[np.ndarray] = None
 
     @property
     def final_row(self):
         return self.rows[-1]
 
 
-def _dual_snapshot_norm(dual, problem):
-    if dual is None:
+def _dual_norm(solver, state, problem):
+    """||y|| of ALEXR's dual values (y = f'(u) in conjugate mode); 0 for the
+    baselines."""
+    if not isinstance(solver, AlexrConfig):
         return 0.0
-    if dual.representation == U_SEQUENCE:
-        y = np.array([f.grad(u) for f, u in zip(problem.outers, dual.blocks)])
-    else:
-        y = dual.blocks
+    y = state.table
+    if solver.psi_mode == PSI_CONJUGATE:
+        y = np.array([f.grad(u) for f, u in zip(problem.outers, y)])
     return float(np.linalg.norm(y))
 
 
-def run(solver, problem, eval_every, f_star=None, x_star=None, measure="auto"):
+def run(solver, problem, eval_every, f_star=None, x_star=None):
     """Execute exactly `solver.T` iterations, recording metrics every
     `eval_every` iterations (plus iterations 0 and T).
 
-    The `gap` column is the run's convergence measure: with
-    measure='distance' it is (mu/2)*||x_t - x_star||^2; with
-    measure='objective_avg' it is F(x_avg_t) - f_star; with
-    measure='objective' it is F(x_t) - f_star; 'auto' picks 'distance' when
-    averaging='last' and x_star is known, else 'objective_avg' when f_star
-    is known, else NaN.  Deterministic for a fixed (solver, problem, seed).
-    Raises DivergenceError at the first iteration whose iterate or dual or
-    tracker table is not finite, whatever `eval_every` is.
+    The `gap` column is the run's convergence measure: (mu/2)*||x_t -
+    x_star||^2 when averaging='last' and x_star is known; else, when f_star
+    is known, F(x_avg_t) - f_star under averaging='uniform' and F(x_t) -
+    f_star under averaging='last'; else NaN.  Deterministic for a fixed
+    (solver, problem, seed).  Raises DivergenceError at the first iteration
+    whose iterate or table is not finite, whatever `eval_every` is.
     """
     if eval_every < 1:
         raise InvalidParameterError("eval_every must be at least 1")
-    if measure == "auto":
-        if solver.averaging == "last" and x_star is not None:
-            measure = "distance"
-        elif f_star is not None:
-            measure = "objective_avg" if solver.averaging == "uniform" else "objective"
-        else:
-            measure = "none"
+    if solver.averaging == "last" and x_star is not None:
+        measure = "distance"
+    elif f_star is not None:
+        measure = "objective_avg" if solver.averaging == "uniform" else "objective"
+    else:
+        measure = "none"
 
     is_alexr = isinstance(solver, AlexrConfig)
-    if is_alexr:
-        state = init_alexr_state(solver, problem)
-        step_fn = alexr_step
-    else:
-        state = init_baseline_state(solver, problem)
-        step_fn = _BASELINE_STEPS[solver.variant]
+    state = init_state(solver, problem)
+    step_fn = alexr_step if is_alexr else _BASELINE_STEPS[solver.variant]
 
     exact_ok = problem.supports_exact
     mu = problem.regularizer.mu
@@ -461,12 +441,11 @@ def run(solver, problem, eval_every, f_star=None, x_star=None, measure="auto"):
             gap = obj - f_star
         else:
             gap = float("nan")
-        dual = state.dual if is_alexr else None
         extras = dict(problem.aux_metrics(state.x)) if problem.aux_metrics is not None else {}
         rows.append(RunRow(
             t=state.t, oracle_count=state.oracle_count, objective=obj,
             objective_avg=obj_avg, gap=gap, dist_sq=dist,
-            dual_norm=_dual_snapshot_norm(dual, problem),
+            dual_norm=_dual_norm(solver, state, problem),
             wall_nanos=time.perf_counter_ns() - start, extras=extras,
         ))
 
@@ -474,8 +453,8 @@ def run(solver, problem, eval_every, f_star=None, x_star=None, measure="auto"):
         if t:
             step_fn(state, solver, problem)
             x_sum += state.x
-        table = state.dual.blocks if is_alexr else state.u
         # checked every iteration, so the error names the first non-finite t
+        table = state.table
         if not (np.isfinite(state.x).all() and (table is None or np.isfinite(table).all())):
             raise DivergenceError(solver.label, state.t)
         if t % eval_every == 0 or t == solver.T:
@@ -485,5 +464,5 @@ def run(solver, problem, eval_every, f_star=None, x_star=None, measure="auto"):
     return RunRecord(
         solver=solver.label, seed=solver.seed, rows=rows, config=asdict(solver),
         x_last=state.x.copy(), x_avg=x_avg,
-        dual_final=state.dual.copy() if is_alexr else None,
+        dual_final=state.table.copy() if is_alexr else None,
     )

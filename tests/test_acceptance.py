@@ -30,8 +30,7 @@ from fcco.solvers import (
     AlexrConfig,
     BaselineConfig,
     alexr_step,
-    init_alexr_state,
-    init_baseline_state,
+    init_state,
     msvr_beta,
     run,
     sox_step,
@@ -143,7 +142,7 @@ def test_03_representation_equivalence():
                                   domain=BoxDomain.unbounded(dim))
         cfg = AlexrConfig(eta=eta, tau=tau, theta=theta, S=S, B=B, T=T,
                           psi_mode="conjugate", seed=seed)
-        state = init_alexr_state(cfg, problem)
+        state = init_state(cfg, problem)
 
         # independent shadow run: explicit dual prox under the conjugate
         # divergence (closed form for this outer) plus its own u recursion,
@@ -164,15 +163,15 @@ def test_03_representation_equivalence():
                 g_tilde = g_now + theta * (g_now - orc.stochastic_value(x_prev, b_val))
                 y[i] = (g_tilde + c + tau * y[i]) / (1.0 + tau)
                 u[i] = (tau * u[i] + g_tilde) / (1.0 + tau)
-                G += orc.stochastic_jtvp(x, b_jac, y[i])
+                G += y[i] * orc.a
             G /= S
             x_prev, x = x, primal_prox_step(x, G, eta, problem.regularizer, problem.domain)
 
             alexr_step(state, cfg, problem)
-            y_lib = np.asarray(outer.grad(state.dual.blocks))
+            y_lib = np.asarray(outer.grad(state.table))
             worst = max(worst,
                         float(np.max(np.abs(y_lib - y))),
-                        float(np.max(np.abs(state.dual.blocks - u))),
+                        float(np.max(np.abs(state.table - u))),
                         float(np.max(np.abs(state.x - x))))
     report(3, "representation equivalence",
            worst <= 1e-10,
@@ -192,14 +191,14 @@ def test_04_moving_average_reduction():
                             psi_mode="conjugate", seed=seed)
         cfg_s = BaselineConfig(variant="sox", step=0.5, gamma=1.0 / (1.0 + tau),
                                S=5, B=2, T=T, seed=seed)
-        s_a = init_alexr_state(cfg_a, inst.problem)
-        s_s = init_baseline_state(cfg_s, inst.problem)
+        s_a = init_state(cfg_a, inst.problem)
+        s_s = init_state(cfg_s, inst.problem)
         for _ in range(T):
             alexr_step(s_a, cfg_a, inst.problem)
             sox_step(s_s, cfg_s, inst.problem)
             worst = max(worst,
                         float(np.max(np.abs(s_a.x - s_s.x))),
-                        float(np.max(np.abs(s_a.dual.blocks - s_s.u))))
+                        float(np.max(np.abs(s_a.table - s_s.table))))
     report(4, "moving-average reduction",
            worst <= 1e-12,
            f"max |x_t or u_t difference| {worst:.2e} <= 1e-12 over {T} iterations")

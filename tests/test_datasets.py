@@ -54,6 +54,19 @@ def test_parse_libsvm_error_line_numbers():
         parse_libsvm("label 1:1\n")
 
 
+def test_parse_libsvm_rejects_index_beyond_int64():
+    # 2**63 does not fit the int64 CSR index arrays; 2**63 - 1 still does
+    for doc, line_no, token in (("+1 9223372036854775808:1\n", 1, "9223372036854775808:1"),
+                                ("+1 1:1\n-1 2:1 99999999999999999999:3\n", 2,
+                                 "99999999999999999999:3")):
+        with pytest.raises(LibsvmParseError) as exc:
+            parse_libsvm(doc)
+        assert exc.value.line_no == line_no
+        assert repr(token) in str(exc.value)
+    mat, _labels = parse_libsvm("+1 9223372036854775807:1\n")
+    assert mat.shape == (1, 2 ** 63 - 1)
+
+
 def test_parse_libsvm_rejects_non_finite_values():
     for bad in ("nan", "inf", "-inf"):
         with pytest.raises(LibsvmParseError) as exc:

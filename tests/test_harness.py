@@ -75,6 +75,32 @@ def test_validate_config_rejects_unknown_parameter_keys(edit, field):
     assert exc.value.field == field
 
 
+@pytest.mark.parametrize("edit, field", [
+    (lambda c: c.update(problem={"builder": "pauc_libsvm", "params": {"alpha": 0.5}}),
+     "problem.params.path"),
+    (lambda c: c.update(problem={"builder": "gdro_csv"}), "problem.params.path"),
+    (lambda c: c["solvers"][0]["params"].pop("eta"), "solvers[0].params.eta"),
+    (lambda c: c["solvers"][0]["params"].pop("tau"), "solvers[0].params.tau"),
+])
+def test_validate_config_rejects_missing_required_keys(tmp_path, capsys, edit, field):
+    # keys the run reads without a default fail at validation, not as a
+    # KeyError once the run has started
+    bad = json.loads(json.dumps(BASE_CONFIG))
+    edit(bad)
+    with pytest.raises(ConfigValidationError) as exc:
+        validate_config(bad)
+    assert exc.value.field == field
+    assert cli_main(["--out", str(tmp_path), "validate", write_config(tmp_path, bad)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {field}")
+
+
+def test_validate_config_takes_required_keys_from_the_grid():
+    config = json.loads(json.dumps(BASE_CONFIG))
+    config["solvers"][0]["params"].pop("eta")
+    config["solvers"][0]["grid"] = {"eta": [0.5, 1.0]}
+    validate_config(config)
+
+
 def test_validate_config_accepts_every_key_make_solver_reads():
     config = json.loads(json.dumps(BASE_CONFIG))
     config["solvers"] = [

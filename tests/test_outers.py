@@ -17,8 +17,6 @@ from fcco.outers import (
     ScaledPositivePart,
     grid_conjugate_oracle,
     grid_prox_oracle,
-    primal_map,
-    prox_dual_quadratic,
 )
 
 ALL = [factory() for factory in SHIPPED_OUTER_FACTORIES.values()]
@@ -200,8 +198,8 @@ def test_young_fenchel_inequality_and_equality_at_subgradient(f):
 def test_scaled_positive_part_prox_closed_form():
     # clamp(y + g/tau) onto [0, 1/alpha]
     f = ScaledPositivePart(0.5)
-    assert prox_dual_quadratic(f, 0.2, 0.5, 2.0) == pytest.approx(0.45)
-    assert prox_dual_quadratic(f, 0.0, 0.0, 1.0) == 0.0
+    assert f.prox_dual_quadratic(0.2, 0.5, 2.0) == pytest.approx(0.45)
+    assert f.prox_dual_quadratic(0.0, 0.0, 1.0) == 0.0
 
 
 def test_prox_example_matches_grid_oracle():
@@ -270,17 +268,17 @@ def test_prox_nonexpansive_in_y(f):
 # --- gradient map ---------------------------------------------------------
 
 
-def test_primal_map_examples():
-    assert primal_map(HalfSquareShift(0.0), 3.0) == 3.0
-    assert primal_map(HuberHard(0.3), 0.5) == pytest.approx(0.8)
-    assert primal_map(ChiSquareOuter(2.0, 4.0), 0.0) == pytest.approx(2.0)
+def test_grad_examples():
+    assert HalfSquareShift(0.0).grad(3.0) == 3.0
+    assert HuberHard(0.3).grad(0.5) == pytest.approx(0.8)
+    assert ChiSquareOuter(2.0, 4.0).grad(0.0) == pytest.approx(2.0)
 
 
-def test_primal_map_rejects_kinked_functions():
+def test_grad_rejects_kinked_functions():
     with pytest.raises(NotSmoothError):
-        primal_map(PositivePart(), 1.0)
+        PositivePart().grad(1.0)
     with pytest.raises(NotSmoothError):
-        primal_map(HingeHard(1.0, 0.2), 1.0)
+        HingeHard(1.0, 0.2).grad(1.0)
 
 
 def test_gradient_inversion_on_legendre_region():

@@ -9,7 +9,6 @@ from fcco.errors import (
     DomainViolationError,
     InvalidBatchSizeError,
     InvalidParameterError,
-    RepresentationMismatchError,
 )
 from fcco.instances import (
     AffineScalarOracle,
@@ -18,13 +17,11 @@ from fcco.instances import (
 )
 from fcco.outers import HalfSquareShift, HuberHard, Identity, PositivePart
 from fcco.problem import (
-    BlockDualState,
     BoxDomain,
     ProblemInstance,
     Regularizer,
     evaluate_objective,
     evaluate_saddle,
-    project_box,
     sample_outer_batch,
 )
 
@@ -92,13 +89,12 @@ def test_objective_requires_exact_oracles():
 
 def test_saddle_zero_dual():
     prob = scalar_problem([PositivePart()] * 2, [-1.0, 1.0])
-    y = BlockDualState(np.zeros(2))
-    assert evaluate_saddle(prob, np.zeros(1), y) == 0.0
+    assert evaluate_saddle(prob, np.zeros(1), np.zeros(2)) == 0.0
 
 
 def test_saddle_single_hinge_attains_objective():
     prob = scalar_problem([PositivePart()], [0.0])
-    y = BlockDualState(np.array([1.0]))
+    y = np.array([1.0])
     x = np.array([2.0])
     assert evaluate_saddle(prob, x, y) == pytest.approx(2.0)
     assert evaluate_saddle(prob, x, y) == pytest.approx(evaluate_objective(prob, x))
@@ -106,15 +102,7 @@ def test_saddle_single_hinge_attains_objective():
 
 def test_saddle_huber_at_dual_anchor():
     prob = scalar_problem([HuberHard(0.3)], [0.0])
-    y = BlockDualState(np.array([0.3]))
-    assert evaluate_saddle(prob, np.zeros(1), y) == pytest.approx(0.0)
-
-
-def test_saddle_rejects_u_sequence():
-    prob = scalar_problem([HuberHard(0.3)], [0.0])
-    y = BlockDualState(np.array([0.0]), representation="u_sequence")
-    with pytest.raises(RepresentationMismatchError):
-        evaluate_saddle(prob, np.zeros(1), y)
+    assert evaluate_saddle(prob, np.zeros(1), np.array([0.3])) == pytest.approx(0.0)
 
 
 def test_saddle_dominated_by_objective():
@@ -129,7 +117,7 @@ def test_saddle_dominated_by_objective():
             lo = max(lo, -3.0)
             hi = min(hi, 3.0)
             blocks.append(rng.uniform(lo, hi))
-        val = evaluate_saddle(prob, x, BlockDualState(np.array(blocks)))
+        val = evaluate_saddle(prob, x, np.array(blocks))
         assert val <= evaluate_objective(prob, x) + 1e-9
 
 
@@ -146,7 +134,7 @@ def test_saddle_blockwise_max_recovers_objective():
         for f, inner, grid in zip(outers, prob.inners, grids):
             vals = grid * inner.exact_value(x) - np.array([f.conjugate_value(g) for g in grid])
             blocks.append(grid[np.argmax(vals)])
-        best = evaluate_saddle(prob, x, BlockDualState(np.array(blocks)))
+        best = evaluate_saddle(prob, x, np.array(blocks))
         assert best >= evaluate_objective(prob, x) - 1e-3
 
 
@@ -197,7 +185,7 @@ def test_sample_batch_invalid_sizes():
 
 def test_project_box_clamps():
     box = BoxDomain.symmetric(1.0, 2)
-    assert project_box(np.array([3.0, -3.0]), box).tolist() == [1.0, -1.0]
+    assert box.project(np.array([3.0, -3.0])).tolist() == [1.0, -1.0]
 
 
 def test_project_box_idempotent():
@@ -205,8 +193,8 @@ def test_project_box_idempotent():
     rng = np.random.default_rng(3)
     for _ in range(100):
         x = rng.uniform(-5, 5, size=3)
-        once = project_box(x, box)
-        assert np.array_equal(project_box(once, box), once)
+        once = box.project(x)
+        assert np.array_equal(box.project(once), once)
 
 
 def test_project_box_nonexpansive():
@@ -214,7 +202,7 @@ def test_project_box_nonexpansive():
     rng = np.random.default_rng(4)
     for _ in range(1000):
         x, z = rng.uniform(-4, 4, size=(2, 2))
-        dp = np.linalg.norm(project_box(x, box) - project_box(z, box))
+        dp = np.linalg.norm(box.project(x) - box.project(z))
         assert dp <= np.linalg.norm(x - z) + 1e-12
 
 
@@ -249,8 +237,9 @@ def test_affine_oracle_jtvp_independent_of_x_and_batch():
     orc = AffineScalarOracle(a=[2.0, -1.0], b=0.5, noise=GaussianNoise(1.0))
     rng = np.random.default_rng(0)
     batch = orc.sample_batch(rng, 4)
-    j1 = orc.stochastic_jtvp(np.zeros(2), batch, 1.5)
-    j2 = orc.stochastic_jtvp(np.array([5.0, -7.0]), orc.sample_batch(rng, 4), 1.5)
+    j1, j2 = np.zeros(2), np.zeros(2)
+    orc.accumulate_jtvp(j1, np.zeros(2), batch, 1.5, 1.0)
+    orc.accumulate_jtvp(j2, np.array([5.0, -7.0]), orc.sample_batch(rng, 4), 1.5, 1.0)
     assert np.array_equal(j1, j2)
 
 

@@ -1,9 +1,12 @@
 """Solver steps, reductions between methods, and the run driver."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcco.errors import (
     DivergenceError,
@@ -35,8 +38,7 @@ from fcco.solvers import (
     alexr_step,
     bsgd_step,
     dual_update_conjugate,
-    init_alexr_state,
-    init_baseline_state,
+    init_state,
     msvr_beta,
     msvr_step,
     run,
@@ -149,7 +151,7 @@ def test_alexr_full_batch_identity_outers_is_proximal_gradient():
     problem = ProblemInstance(n=n, dim=dim, outers=[Identity()] * n, inners=inners,
                               regularizer=reg, domain=BoxDomain.unbounded(dim))
     cfg = AlexrConfig(eta=2.0, tau=1.0, theta=0.0, S=n, B=1, T=1, seed=0)
-    state = init_alexr_state(cfg, problem)
+    state = init_state(cfg, problem)
     state.x = np.array([0.5, -1.0, 0.25])
     state.x_prev = state.x.copy()
     x0 = state.x.copy()
@@ -164,46 +166,46 @@ def test_alexr_extrapolation_vanishes_at_stationary_pair():
     problem = affine_problem(6, 2, HuberHard(0.3), seed=3)
     cfg0 = AlexrConfig(eta=2.0, tau=1.0, theta=0.0, S=3, B=2, T=1, seed=5)
     cfg1 = AlexrConfig(eta=2.0, tau=1.0, theta=1.0, S=3, B=2, T=1, seed=5)
-    s0 = init_alexr_state(cfg0, problem)
-    s1 = init_alexr_state(cfg1, problem)
+    s0 = init_state(cfg0, problem)
+    s1 = init_state(cfg1, problem)
     alexr_step(s0, cfg0, problem)
     alexr_step(s1, cfg1, problem)
     assert np.array_equal(s0.x, s1.x)
-    assert np.array_equal(s0.dual.blocks, s1.dual.blocks)
+    assert np.array_equal(s0.table, s1.table)
 
 
 def test_alexr_block_locality():
     problem = affine_problem(10, 2, PositivePart(), seed=4)
     cfg = AlexrConfig(eta=1.0, tau=1.0, theta=1.0, S=3, B=2, T=1, seed=6)
-    state = init_alexr_state(cfg, problem)
-    state.dual.blocks[:] = 0.5
-    before = state.dual.blocks.copy()
+    state = init_state(cfg, problem)
+    state.table[:] = 0.5
+    before = state.table.copy()
     # replicate the step's outer-batch draw to identify sampled blocks
     probe = np.random.default_rng(6)
     idx = sample_outer_batch(probe, 10, 3)
     alexr_step(state, cfg, problem)
     untouched = np.setdiff1d(np.arange(10), idx)
-    assert np.array_equal(state.dual.blocks[untouched], before[untouched])
-    assert not np.array_equal(state.dual.blocks[idx], before[idx])
+    assert np.array_equal(state.table[untouched], before[untouched])
+    assert not np.array_equal(state.table[idx], before[idx])
 
 
 def test_alexr_feasibility_and_dual_domains():
     inst = build_hard_smooth(20, 0.3, 1.0)
     cfg = AlexrConfig(eta=0.05, tau=0.5, theta=1.0, S=5, B=1, T=200, seed=7)
-    state = init_alexr_state(cfg, inst.problem)
+    state = init_state(cfg, inst.problem)
     f = inst.problem.outers[0]
     lo, hi = f.dual_domain()
     for _ in range(200):
         alexr_step(state, cfg, inst.problem)
         assert inst.problem.domain.contains(state.x)
-        assert np.all(state.dual.blocks >= lo - 1e-12)
-        assert np.all(state.dual.blocks <= hi + 1e-12)
+        assert np.all(state.table >= lo - 1e-12)
+        assert np.all(state.table <= hi + 1e-12)
 
 
 def test_alexr_oracle_accounting():
     problem = affine_problem(8, 2, PositivePart(), seed=5)
     cfg = AlexrConfig(eta=1.0, tau=1.0, theta=0.0, S=4, B=3, T=5, seed=0)
-    state = init_alexr_state(cfg, problem)
+    state = init_state(cfg, problem)
     for t in range(1, 6):
         alexr_step(state, cfg, problem)
         assert state.oracle_count == 2 * 4 * 3 * t
@@ -217,20 +219,30 @@ def test_baseline_oracle_accounting(variant):
     assert rec.rows[-1].oracle_count == 2 * 4 * 3 * 5
 
 
-def _block_solver_cases(smooth):
-    """(config, init, step, table) for every block solver; conjugate-mode
-    ALEXR needs smooth outers."""
-    alexr = [AlexrConfig(eta=0.1, tau=0.8, theta=theta, S=4, B=2, T=50, seed=11)
-             for theta in (0.0, 1.0)]
-    if smooth:
-        alexr.append(AlexrConfig(eta=0.1, tau=0.8, theta=0.5, S=4, B=2, T=50,
-                                 psi_mode="conjugate", seed=11))
-    cases = [(cfg, init_alexr_state, alexr_step, lambda s: s.dual.blocks) for cfg in alexr]
-    for variant, step in (("sox", sox_step), ("msvr", msvr_step), ("bsgd", bsgd_step)):
-        cfg = BaselineConfig(variant=variant, step=10.0, gamma=0.5, S=4, B=2, T=50, seed=11,
-                             subgradient_fallback=True)
-        cases.append((cfg, init_baseline_state, step, lambda s: s.u))
-    return cases
+def _assert_paths_agree(inst, smooth, T, S, B, seed, thetas):
+    """T steps of every block solver init_state builds, on the kernel path
+    and on a kernel-less copy of the problem, must agree bitwise; ALEXR runs
+    at each theta, in conjugate mode too when the outers are smooth."""
+    problem = inst.problem
+    generic = dataclasses.replace(problem, kernel=None)
+    modes = ("quadratic", "conjugate") if smooth else ("quadratic",)
+    cases = [(AlexrConfig(eta=0.1, tau=0.8, theta=theta, S=S, B=B, T=T, psi_mode=mode,
+                          seed=seed), alexr_step) for mode in modes for theta in thetas]
+    cases += [(BaselineConfig(variant=variant, step=10.0, gamma=0.5, S=S, B=B, T=T, seed=seed,
+                              subgradient_fallback=True), step)
+              for variant, step in (("sox", sox_step), ("msvr", msvr_step), ("bsgd", bsgd_step))]
+    for cfg, step in cases:
+        s_fast = init_state(cfg, problem)
+        s_slow = init_state(cfg, generic)
+        for _ in range(T):
+            step(s_fast, cfg, problem)
+            step(s_slow, cfg, generic)
+        assert np.array_equal(s_fast.x, s_slow.x), cfg
+        assert np.array_equal(s_fast.x_prev, s_slow.x_prev), cfg
+        assert (s_fast.table is None) == (s_slow.table is None), cfg
+        if s_slow.table is not None:
+            assert np.array_equal(s_fast.table, s_slow.table), cfg
+        assert s_fast.oracle_count == s_slow.oracle_count == T * 2 * S * B
 
 
 def test_kernel_and_generic_paths_agree():
@@ -238,24 +250,17 @@ def test_kernel_and_generic_paths_agree():
     # every block solver: same random stream, same elementwise arithmetic
     for inst, smooth in ((build_hard_smooth(12, 0.3, 1.0), True),
                          (build_hard_nonsmooth(12, 0.5, 1.0, 1.0, 1.0), False)):
-        problem = inst.problem
-        generic = ProblemInstance(
-            n=12, dim=12, outers=problem.outers, inners=problem.inners,
-            regularizer=problem.regularizer, domain=problem.domain,
-        )
-        for cfg, init, step, table in _block_solver_cases(smooth):
-            s_fast = init(cfg, problem)
-            s_slow = init(cfg, generic)
-            for _ in range(50):
-                step(s_fast, cfg, problem)
-                step(s_slow, cfg, generic)
-            assert np.array_equal(s_fast.x, s_slow.x), cfg
-            assert np.array_equal(s_fast.x_prev, s_slow.x_prev), cfg
-            if table(s_slow) is None:
-                assert table(s_fast) is None
-            else:
-                assert np.array_equal(table(s_fast), table(s_slow)), cfg
-            assert s_fast.oracle_count == s_slow.oracle_count == 50 * 2 * 4 * 2
+        _assert_paths_agree(inst, smooth, T=50, S=4, B=2, seed=11, thetas=(0.0, 0.5, 1.0))
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(1, 30), data=st.data(), B=st.integers(1, 8),
+       theta=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_kernel_and_generic_paths_agree_on_generated_shapes(n, data, B, theta, seed):
+    S = data.draw(st.integers(1, n), label="S")
+    for inst, smooth in ((build_hard_smooth(n, 0.3, 1.0), True),
+                         (build_hard_nonsmooth(n, 0.5, 1.0, 1.0, 1.0), False)):
+        _assert_paths_agree(inst, smooth, T=20, S=S, B=B, seed=seed, thetas=(theta,))
 
 
 def test_conjugate_mode_requires_smooth_outers():
@@ -263,7 +268,7 @@ def test_conjugate_mode_requires_smooth_outers():
     cfg = AlexrConfig(eta=1.0, tau=1.0, theta=0.0, S=1, B=1, T=1,
                       psi_mode="conjugate", seed=0)
     with pytest.raises(NotSmoothError):
-        init_alexr_state(cfg, problem)
+        init_state(cfg, problem)
 
 
 def test_quadratic_equals_conjugate_for_half_square():
@@ -273,14 +278,14 @@ def test_quadratic_equals_conjugate_for_half_square():
                         psi_mode="quadratic", seed=3)
     cfg_c = AlexrConfig(eta=1.0, tau=2.0, theta=1.0, S=2, B=1, T=100,
                         psi_mode="conjugate", seed=3)
-    s_q = init_alexr_state(cfg_q, problem)
-    s_c = init_alexr_state(cfg_c, problem)
+    s_q = init_state(cfg_q, problem)
+    s_c = init_state(cfg_c, problem)
     f = problem.outers[0]
     for _ in range(100):
         alexr_step(s_q, cfg_q, problem)
         alexr_step(s_c, cfg_c, problem)
-        y_from_u = np.asarray(f.grad(s_c.dual.blocks))
-        assert np.allclose(s_q.dual.blocks, y_from_u, atol=1e-10)
+        y_from_u = np.asarray(f.grad(s_c.table))
+        assert np.allclose(s_q.table, y_from_u, atol=1e-10)
     assert np.allclose(s_q.x, s_c.x, atol=1e-10)
 
 
@@ -290,11 +295,11 @@ def test_quadratic_equals_conjugate_for_half_square():
 def test_sox_memoryless_gamma_is_plugin():
     problem = affine_problem(4, 2, HalfSquareShift(0.0), noise_sigma=0.0, seed=9)
     cfg = BaselineConfig(variant="sox", step=1.0, gamma=1.0, S=4, B=1, T=1, seed=0)
-    state = init_baseline_state(cfg, problem)
+    state = init_state(cfg, problem)
     x0 = state.x.copy()
     sox_step(state, cfg, problem)
     expect = np.array([orc.exact_value(x0) for orc in problem.inners])
-    assert np.allclose(state.u, expect, atol=1e-12)
+    assert np.allclose(state.table, expect, atol=1e-12)
 
 
 def test_sox_moving_average_arithmetic():
@@ -302,21 +307,21 @@ def test_sox_moving_average_arithmetic():
     problem.inners[0].b = 4.0  # exact inner value 4 at x = 0
     problem.inners[0].a = np.array([0.0])
     cfg = BaselineConfig(variant="sox", step=1e9, gamma=0.5, S=1, B=1, T=1, seed=0)
-    state = init_baseline_state(cfg, problem)
-    state.u[0] = 2.0
+    state = init_state(cfg, problem)
+    state.table[0] = 2.0
     sox_step(state, cfg, problem)
-    assert state.u[0] == pytest.approx(3.0)
+    assert state.table[0] == pytest.approx(3.0)
 
 
 def test_sox_rejects_nonsmooth_without_fallback():
     problem = affine_problem(3, 2, PositivePart())
     cfg = BaselineConfig(variant="sox", step=1.0, gamma=0.5, S=1, B=1, T=1, seed=0)
-    state = init_baseline_state(cfg, problem)
+    state = init_state(cfg, problem)
     with pytest.raises(NotSmoothError):
         sox_step(state, cfg, problem)
     cfg_ok = BaselineConfig(variant="sox", step=1.0, gamma=0.5, S=1, B=1, T=1,
                             seed=0, subgradient_fallback=True)
-    sox_step(init_baseline_state(cfg_ok, problem), cfg_ok, problem)
+    sox_step(init_state(cfg_ok, problem), cfg_ok, problem)
 
 
 def test_sox_reduction_matches_alexr_conjugate():
@@ -328,14 +333,14 @@ def test_sox_reduction_matches_alexr_conjugate():
                         psi_mode="conjugate", seed=21)
     cfg_s = BaselineConfig(variant="sox", step=0.5, gamma=1.0 / (1.0 + tau),
                            S=3, B=2, T=T, seed=21)
-    s_a = init_alexr_state(cfg_a, inst.problem)
-    s_s = init_baseline_state(cfg_s, inst.problem)
-    assert np.array_equal(s_a.dual.blocks, s_s.u)  # shared tracker anchor
+    s_a = init_state(cfg_a, inst.problem)
+    s_s = init_state(cfg_s, inst.problem)
+    assert np.array_equal(s_a.table, s_s.table)  # shared tracker anchor
     for _ in range(T):
         alexr_step(s_a, cfg_a, inst.problem)
         sox_step(s_s, cfg_s, inst.problem)
         assert np.allclose(s_a.x, s_s.x, atol=1e-12)
-        assert np.allclose(s_a.dual.blocks, s_s.u, atol=1e-12)
+        assert np.allclose(s_a.table, s_s.table, atol=1e-12)
 
 
 # --- msvr ------------------------------------------------------------------
@@ -359,11 +364,11 @@ def test_msvr_stationary_pair_reduces_to_sox():
     problem = affine_problem(6, 2, HalfSquareShift(0.0), seed=12)
     cfg_m = BaselineConfig(variant="msvr", step=1.0, gamma=0.5, S=2, B=2, T=1, seed=4)
     cfg_s = BaselineConfig(variant="sox", step=1.0, gamma=0.5, S=2, B=2, T=1, seed=4)
-    s_m = init_baseline_state(cfg_m, problem)
-    s_s = init_baseline_state(cfg_s, problem)
+    s_m = init_state(cfg_m, problem)
+    s_s = init_state(cfg_s, problem)
     msvr_step(s_m, cfg_m, problem)
     sox_step(s_s, cfg_s, problem)
-    assert np.allclose(s_m.u, s_s.u, atol=1e-12)
+    assert np.allclose(s_m.table, s_s.table, atol=1e-12)
     assert np.allclose(s_m.x, s_s.x, atol=1e-12)
 
 
@@ -375,13 +380,13 @@ def test_msvr_correction_scaling():
     problem.inners[0].b = 0.0
     gamma = 0.5
     cfg = BaselineConfig(variant="msvr", step=1.0, gamma=gamma, S=1, B=1, T=1, seed=0)
-    state = init_baseline_state(cfg, problem)
+    state = init_state(cfg, problem)
     state.x = np.array([2.0])
     state.x_prev = np.array([1.0])
-    state.u[0] = 0.0
+    state.table[0] = 0.0
     beta = msvr_beta(1, 1, gamma)
     msvr_step(state, cfg, problem)
-    assert state.u[0] == pytest.approx((1 - gamma) * 0.0 + gamma * 2.0 + beta * (2.0 - 1.0))
+    assert state.table[0] == pytest.approx((1 - gamma) * 0.0 + gamma * 2.0 + beta * (2.0 - 1.0))
 
 
 # --- bsgd ------------------------------------------------------------------
@@ -397,7 +402,7 @@ def test_bsgd_deterministic_full_batch_is_subgradient_step():
                               inners=inners, regularizer=reg,
                               domain=BoxDomain.unbounded(dim))
     cfg = BaselineConfig(variant="bsgd", step=2.0, S=n, B=1, T=1, seed=0)
-    state = init_baseline_state(cfg, problem)
+    state = init_state(cfg, problem)
     x0 = state.x.copy()
     bsgd_step(state, cfg, problem)
     grad = np.mean([float(o.exact_value(x0)) * o.a for o in inners], axis=0)
@@ -410,7 +415,7 @@ def test_bsgd_identity_outer_is_unbiased():
     cfg = BaselineConfig(variant="bsgd", step=1e9, S=5, B=1, T=1, seed=0)
     grads = []
     for seed in range(500):
-        state = init_baseline_state(
+        state = init_state(
             BaselineConfig(variant="bsgd", step=1e9, S=5, B=1, T=1, seed=seed), problem)
         x0 = state.x.copy()
         bsgd_step(state, cfg, problem)
@@ -443,7 +448,7 @@ def test_bsgd_plugin_bias_shrinks_with_batch():
 def test_sgd_requires_flat_view():
     problem = affine_problem(3, 2, PositivePart())
     cfg = BaselineConfig(variant="sgd_erm", step=1.0, S=1, B=1, T=1, seed=0)
-    state = init_baseline_state(cfg, problem)
+    state = init_state(cfg, problem)
     with pytest.raises(FlatViewUnavailableError):
         sgd_step(state, cfg, problem)
 
@@ -500,7 +505,7 @@ def test_sgd_fixed_point_at_zero_gradient():
         flat_view=QuadraticView(),
     )
     cfg = BaselineConfig(variant="sgd_erm", step=1.0, S=1, B=4, T=5, seed=0)
-    state = init_baseline_state(cfg, problem)
+    state = init_state(cfg, problem)
     state.x = center.copy()
     for _ in range(5):
         sgd_step(state, cfg, problem)
@@ -551,7 +556,7 @@ def test_run_records_both_outputs():
 def test_run_uniform_average_is_running_mean():
     inst = build_hard_smooth(4, 0.3, 1.0)
     cfg = AlexrConfig(eta=0.5, tau=1.0, theta=1.0, S=2, B=1, T=30, seed=12)
-    state = init_alexr_state(cfg, inst.problem)
+    state = init_state(cfg, inst.problem)
     xs = []
     for _ in range(30):
         alexr_step(state, cfg, inst.problem)
