@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .datasets import build_synthetic_gdro, build_synthetic_pauc, load_grouped_csv, load_libsvm, PaucDataset
-from .errors import ConfigValidationError, FccoError
+from .errors import ConfigValidationError, DataError, FccoError
 from .instances import build_gdro, build_hard_nonsmooth, build_hard_smooth, build_pauc
 from .metrics import fit_rate
 from .solvers import (
@@ -205,7 +205,11 @@ def _build_pauc_synthetic(params):
 
 def _build_pauc_libsvm(params):
     feats, labels = load_libsvm(params["path"])
-    feats = np.asarray(feats.todense())
+    try:
+        feats = np.asarray(feats.todense())
+    except (ValueError, MemoryError) as exc:
+        raise DataError(f"{params['path']}: cannot densify the {feats.shape[0]}x{feats.shape[1]} "
+                        f"LIBSVM matrix ({exc})") from exc
     data = PaucDataset(positives=feats[labels > 0], negatives=feats[labels <= 0],
                        alpha=params.get("alpha", 0.5))
     problem = build_pauc(data, surrogate=params.get("surrogate", "squared_hinge"),

@@ -51,7 +51,9 @@ class BoxDomain:
         return cls(-radius, radius, dim)
 
     def project(self, x):
-        return np.clip(x, self.lower, self.upper)
+        # np.clip's result, signed zeros included: with array bounds it keeps
+        # this operand order
+        return np.minimum(np.maximum(x, self.lower), self.upper)
 
     def contains(self, x, tol=1e-9):
         x = np.asarray(x, dtype=float)

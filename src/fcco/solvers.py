@@ -44,6 +44,7 @@ every block solver takes that path when the problem has a kernel.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, asdict
 from typing import Optional
@@ -398,6 +399,12 @@ def _dual_norm(solver, state, problem):
     return float(np.linalg.norm(y))
 
 
+def _all_finite(a):
+    """np.isfinite(a).all(), cheaper: a.a is finite only if every entry is,
+    and the elementwise test decides when the dot product overflows."""
+    return math.isfinite(np.vdot(a, a)) or np.isfinite(a).all()
+
+
 def run(solver, problem, eval_every, f_star=None, x_star=None):
     """Execute exactly `solver.T` iterations, recording metrics every
     `eval_every` iterations (plus iterations 0 and T).
@@ -455,7 +462,7 @@ def run(solver, problem, eval_every, f_star=None, x_star=None):
             x_sum += state.x
         # checked every iteration, so the error names the first non-finite t
         table = state.table
-        if not (np.isfinite(state.x).all() and (table is None or np.isfinite(table).all())):
+        if not (_all_finite(state.x) and (table is None or _all_finite(table))):
             raise DivergenceError(solver.label, state.t)
         if t % eval_every == 0 or t == solver.T:
             record()

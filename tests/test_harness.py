@@ -325,6 +325,20 @@ def test_cli_runtime_error_exit_code(tmp_path):
     assert cli_main(["--out", str(tmp_path), "run", missing]) == 2
 
 
+def test_cli_libsvm_too_wide_to_densify_exits_cleanly(tmp_path, capsys):
+    # one index near 2**63 parses, but the dense matrix cannot be allocated
+    data = tmp_path / "wide.svm"
+    data.write_text("+1 9223372036854775807:1\n-1 1:1\n")
+    config = json.loads(json.dumps(BASE_CONFIG))
+    config["problem"] = {"builder": "pauc_libsvm", "params": {"path": str(data)}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli_main(["--out", str(tmp_path / "out"), "run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(data) in err and "2x9223372036854775807" in err
+
+
 def test_cli_emit_synthetic_gdro(tmp_path, capsys):
     assert cli_main(["--out", str(tmp_path), "emit-synthetic", "gdro",
                      "--n-groups", "2", "--dim", "2", "--samples-per-group", "5",

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcco.errors import InvalidParameterError, NotSmoothError
 from fcco.outers import (
@@ -263,6 +265,81 @@ def test_prox_nonexpansive_in_y(f):
         v1 = float(f.prox_dual_quadratic(y1, g, tau))
         v2 = float(f.prox_dual_quadratic(y2, g, tau))
         assert abs(v1 - v2) <= abs(y1 - y2) + 1e-12
+
+
+# --- scalar value path and clamps -----------------------------------------
+
+
+def same_bits(a, b):
+    """Bitwise equality of float64 arrays, with every NaN equal to every NaN."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    nan_a, nan_b = np.isnan(a), np.isnan(b)
+    return (a.shape == b.shape and np.array_equal(nan_a, nan_b)
+            and np.array_equal(a[~nan_a].view(np.int64), b[~nan_b].view(np.int64)))
+
+
+SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0]
+EDGES = [e for x in (-1.0, 1.0) for e in (x, float(np.nextafter(x, -2.0)), float(np.nextafter(x, 2.0)))]
+huber_args = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                       st.floats(-3.0, 3.0), st.sampled_from(SPECIAL + EDGES))
+
+
+@settings(max_examples=400, deadline=None)
+@given(nu=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), u=huber_args,
+       as_numpy=st.booleans())
+def test_huber_value_float_path_equals_array_path(nu, u, as_numpy):
+    # floats take the scalar branch, 0-d arrays the np.where path
+    f = HuberHard(nu)
+    arg = np.float64(u) if as_numpy else u
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = f.value(np.asarray(u))[()]
+        got = f.value(arg)
+    assert isinstance(got, float)
+    assert same_bits(got, expected)
+
+
+@pytest.mark.parametrize("nu", [0.3, 0.05, 0.9, 1.0 / 3.0])
+def test_huber_value_float_path_dense_sweep(nu):
+    # Python's u ** 2 calls pow(), which rounds differently from numpy's square
+    # on about 1 in 1000 points of the middle piece; a dense sweep sees that
+    f = HuberHard(nu)
+    u = np.random.default_rng(17).uniform(-1.5, 1.5, 20_000)
+    got = np.array([f.value(v) for v in u.tolist()])
+    assert same_bits(got, f.value(u))
+
+
+def old_prox(f, y, g, tau):
+    """The dual proxes as they were written with np.clip."""
+    if isinstance(f, ScaledPositivePart):
+        return np.clip(y + g / tau, 0.0, f.cap)
+    if isinstance(f, ChiSquareOuter):
+        return np.clip((g + 2.0 + tau * y) / (2.0 / f.lam + tau), 0.0, f.cap)
+    if isinstance(f, HuberHard):
+        return np.clip((g + f.nu + tau * y) / (1.0 + tau), f.nu - 1.0, f.nu + 1.0)
+    return np.clip(y + (g + f.nu) / tau, 0.0, f.beta)
+
+
+clamp_floats = st.one_of(st.floats(-4.0, 4.0), st.sampled_from(SPECIAL))
+clamp_arrays = st.lists(clamp_floats, min_size=1, max_size=40).map(np.array)
+
+
+@settings(max_examples=300, deadline=None)
+@given(which=st.sampled_from(["scaled_positive_part", "chi_square", "huber_hard", "hinge_hard"]),
+       data=st.data(), tau=st.one_of(st.floats(1e-3, 1e3), st.just(math.inf)),
+       scalar=st.booleans())
+def test_clamps_equal_np_clip_bitwise(which, data, tau, scalar):
+    f = SHIPPED_OUTER_FACTORIES[which]()
+    if scalar:
+        y, g = data.draw(clamp_floats), data.draw(clamp_floats)
+    else:
+        y = data.draw(clamp_arrays)
+        g = data.draw(st.lists(clamp_floats, min_size=y.size, max_size=y.size).map(np.array))
+    with np.errstate(all="ignore"):
+        assert same_bits(f.prox_dual_quadratic(y, g, tau), old_prox(f, y, g, tau))
+        if isinstance(f, HuberHard):
+            expected = np.clip(np.asarray(y) + f.nu, f.nu - 1.0, f.nu + 1.0)[()]
+            assert same_bits(f.grad(y), expected)
 
 
 # --- gradient map ---------------------------------------------------------

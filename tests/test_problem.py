@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcco.errors import (
     DomainViolationError,
@@ -204,6 +206,25 @@ def test_project_box_nonexpansive():
         x, z = rng.uniform(-4, 4, size=(2, 2))
         dp = np.linalg.norm(box.project(x) - box.project(z))
         assert dp <= np.linalg.norm(x - z) + 1e-12
+
+
+bound_floats = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-math.inf, math.inf, 0.0, -0.0]))
+point_floats = st.one_of(st.floats(-4.0, 4.0),
+                         st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 40))
+def test_project_box_equals_np_clip_bitwise(data, dim):
+    # signed zeros, infinities and NaN included; NaN stays NaN
+    a = np.array(data.draw(st.lists(bound_floats, min_size=dim, max_size=dim)))
+    b = np.array(data.draw(st.lists(bound_floats, min_size=dim, max_size=dim)))
+    box = BoxDomain(np.minimum(a, b), np.maximum(a, b), dim)
+    x = np.array(data.draw(st.lists(point_floats, min_size=dim, max_size=dim)))
+    got, expected = box.project(x), np.clip(x, box.lower, box.upper)
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), expected[~nan].view(np.int64))
 
 
 def test_empty_box_rejected():

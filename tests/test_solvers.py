@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fcco.solvers as solvers_module
 from fcco.errors import (
     DivergenceError,
     FlatViewUnavailableError,
@@ -581,6 +583,105 @@ def test_run_reports_divergence_with_solver_and_iteration():
         assert "tiny_steps" in str(err.value) and f"t={err.value.t}" in str(err.value)
         ts.append(err.value.t)
     assert 0 < ts[0] == ts[1] < 2000
+
+
+def _edit_around_step(monkeypatch, after, before=lambda state: None):
+    """Make `run` call before(state) and after(state) around every ALEXR step."""
+    step = solvers_module.alexr_step
+
+    def edited_step(state, cfg, problem):
+        before(state)
+        step(state, cfg, problem)
+        after(state)
+
+    monkeypatch.setattr(solvers_module, "alexr_step", edited_step)
+
+
+HARD_ALEXR = AlexrConfig(eta=0.5, tau=1.0, theta=1.0, S=5, B=1, T=60, seed=4)
+
+
+@pytest.mark.parametrize("where", ["x", "table"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_run_raises_divergence_at_the_step_that_went_non_finite(monkeypatch, where, bad):
+    def edit(state):
+        if state.t == 23:
+            (state.x if where == "x" else state.table)[3] = bad
+
+    _edit_around_step(monkeypatch, edit)
+    problem = build_hard_smooth(20, 0.3, 1.0).problem
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as err:
+            run(HARD_ALEXR, problem, eval_every=1000)
+    assert err.value.t == 23
+
+
+def test_run_accepts_finite_table_whose_square_overflows(monkeypatch):
+    # a table of 1e200s is finite although its dot product with itself is
+    # not; the next step sees the original table again
+    saved = []
+
+    def spoil(state):
+        if state.t == 23:
+            saved.append(state.table.copy())
+            state.table[:] = 1e200
+
+    def restore(state):
+        if saved:
+            state.table[:] = saved.pop()
+
+    problem = build_hard_smooth(20, 0.3, 1.0).problem
+    plain = run(HARD_ALEXR, problem, eval_every=20)
+    _edit_around_step(monkeypatch, spoil, restore)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        edited = run(HARD_ALEXR, problem, eval_every=20)
+    assert np.array_equal(edited.x_last, plain.x_last)
+    assert np.array_equal(edited.dual_final, plain.dual_final)
+
+
+@pytest.mark.parametrize("a", [
+    np.zeros(0), np.zeros(5), np.array([1.0, -2.0, 3.0]), np.full(100, 1e200),
+    np.array([1e-300, -1e308, 1e308]), np.array([1.0, math.nan]), np.array([math.inf, 1.0]),
+    np.array([-math.inf]), np.array([1e200, math.nan]), np.array([math.inf, -math.inf]),
+], ids=["empty", "zeros", "small", "1e200", "near_max", "nan", "inf", "-inf", "1e200_nan",
+        "both_infs"])
+def test_finiteness_check_equals_elementwise_test(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bool(solvers_module._all_finite(a)) == bool(np.isfinite(a).all())
+
+
+def per_component_objective(problem, x):
+    """F(x) with every outer value taken on a 0-d array (the np.where path)."""
+    total = 0.0
+    for f, g in zip(problem.outers, problem.inners):
+        total += float(f.value(np.asarray(g.exact_value(x))))
+    return total / problem.n + problem.regularizer.value(x)
+
+
+@pytest.mark.parametrize("cfg", [
+    AlexrConfig(eta=0.5, tau=1.0, theta=0.0, S=8, B=1, T=300, seed=2),
+    AlexrConfig(eta=0.5, tau=1.0, theta=1.0, S=8, B=1, T=300, seed=2),
+    BaselineConfig(variant="sox", step=1.0, gamma=0.5, S=8, B=1, T=300, seed=2),
+], ids=["alexr_theta0", "alexr_theta1", "sox"])
+def test_recorded_objectives_equal_array_path_reference(monkeypatch, cfg):
+    # HuberHard.value takes its scalar branch inside run; every recorded
+    # objective must be the array path's, bit for bit
+    inst = build_hard_smooth(40, 0.3, 1.0)
+    points = []
+    evaluate = solvers_module.evaluate_objective
+
+    def capture(problem, x):
+        points.append(np.array(x))
+        return evaluate(problem, x)
+
+    monkeypatch.setattr(solvers_module, "evaluate_objective", capture)
+    rec = run(cfg, inst.problem, eval_every=25, f_star=inst.f_star)
+    recorded = [v for row in rec.rows for v in (row.objective, row.objective_avg)]
+    expected = [per_component_objective(inst.problem, x) for x in points]
+    assert len(rec.rows) == 13
+    assert np.array(recorded).view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
 
 
 def test_run_average_distance_decreases_on_seed_mean():
