@@ -12,11 +12,12 @@ log-log slope.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Optional
 
 import numpy as np
@@ -24,7 +25,8 @@ import numpy as np
 from . import __version__
 from .datasets import build_synthetic_gdro, build_synthetic_pauc, load_grouped_csv, load_libsvm, PaucDataset
 from .errors import ConfigValidationError, DataError, FccoError
-from .instances import build_gdro, build_hard_nonsmooth, build_hard_smooth, build_pauc
+from .instances import (BuiltProblem, build_gdro, build_hard_nonsmooth, build_hard_smooth,
+                        build_pauc)
 from .metrics import fit_rate
 from .solvers import (
     AlexrConfig,
@@ -53,85 +55,129 @@ class ExperimentConfig:
     budget: Optional[int] = None
 
 
+_FIELDS = {f.name for f in fields(ExperimentConfig)}
+# A manifest echoes its config and adds four keys, so it runs as a config.
+CONFIG_KEYS = _FIELDS | {"version", "cells", "best_cell", "comparison_axis"}
+_KIND_NAMES = {bool: "a boolean", int: "an integer", str: "a string", float: "a number"}
+
+
 def _fail(path, msg):
     raise ConfigValidationError(path, msg)
 
 
-def _check_keys(path, mapping, known):
+def _is_kind(value, kind):
+    """isinstance for config values, where a number (kind float) is an int or
+    a float, and a bool is never an int or a number."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check_keys(prefix, mapping, known):
     for key in mapping:
         if key not in known:
-            _fail(f"{path}.{key}", f"unknown parameter; expected one of {sorted(known)}")
+            _fail(f"{prefix}{key}", f"unknown key; expected one of {sorted(known)}")
 
 
-def _check_required(path, present, required):
-    for key in required:
-        if key not in present:
-            _fail(f"{path}.{key}", "required parameter is missing")
+def _check_params(prefix, mapping, declared, is_grid=False):
+    """Reject keys that `declared` (name -> default) does not name, and
+    values or grid entries of the wrong kind: a type declared in place of a
+    default (a required parameter) or a bool, int or str default takes that
+    type, and a float or None default takes a number."""
+    _check_keys(prefix, mapping, declared)
+    for key, value in mapping.items():
+        default = declared[key]
+        kind = default if isinstance(default, type) else next(
+            (k for k in (bool, int, str) if isinstance(default, k)), float)
+        for item in value if is_grid else (value,):
+            if not _is_kind(item, kind):
+                _fail(f"{prefix}{key}", f"expected {_KIND_NAMES[kind]}, got {item!r}")
+
+
+def _check_required(prefix, present, declared):
+    for key, default in declared.items():
+        if isinstance(default, type) and key not in present:
+            _fail(f"{prefix}{key}", "required parameter is missing")
 
 
 def validate_config(raw):
     """Validate a raw config mapping; raises ConfigValidationError with the
-    offending field path."""
+    offending field path.  Parameter names, defaults and value kinds come
+    from one declaration each: `BUILDER_PARAMS` for problems, and the
+    keyword arguments of each solver's config or preset (`_solver_params`)."""
     if not isinstance(raw, dict):
         _fail("<root>", "config must be a mapping")
+    _check_keys("", raw, CONFIG_KEYS)
     problem = raw.get("problem")
     if not isinstance(problem, dict) or "builder" not in problem:
         _fail("problem.builder", "missing problem builder")
-    if problem["builder"] not in PROBLEM_BUILDERS:
-        _fail("problem.builder", f"unknown builder {problem['builder']!r}")
+    _check_keys("problem.", problem, ("builder", "params"))
+    builder = problem["builder"]
+    if not isinstance(builder, str) or builder not in PROBLEM_BUILDERS:
+        _fail("problem.builder", f"unknown builder {builder!r}")
     solvers = raw.get("solvers")
     if not isinstance(solvers, list) or not solvers:
         _fail("solvers", "need at least one solver")
     for i, solver in enumerate(solvers):
+        at = f"solvers[{i}]"
         if not isinstance(solver, dict) or "name" not in solver:
-            _fail(f"solvers[{i}].name", "missing solver name")
-        if solver["name"] not in SOLVER_NAMES:
-            _fail(f"solvers[{i}].name", f"unknown solver {solver['name']!r}")
+            _fail(f"{at}.name", "missing solver name")
+        _check_keys(f"{at}.", solver, ("name", "label", "params", "grid"))
+        name = solver["name"]
+        if not isinstance(name, str) or name not in SOLVER_NAMES:
+            _fail(f"{at}.name", f"unknown solver {name!r}")
+        if not isinstance(solver.get("label", ""), str):
+            _fail(f"{at}.label", "label must be a string")
         params = solver.get("params", {})
         if not isinstance(params, dict):
-            _fail(f"solvers[{i}].params", "params must be a mapping")
+            _fail(f"{at}.params", "params must be a mapping")
         grid = solver.get("grid", {})
         if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
-            _fail(f"solvers[{i}].grid", "grid must map parameter names to lists")
-        if solver["name"] == "alexr":
+            _fail(f"{at}.grid", "grid must map parameter names to lists")
+        preset = None
+        if name == "alexr":
+            # the preset decides which keys are valid, so a grid cannot vary it
             preset = params.get("preset")
-            if preset not in ALEXR_PARAMS:
-                _fail(f"solvers[{i}].params.preset", f"unknown preset {preset!r}")
-            known = ALEXR_PARAMS[preset] | {"preset"}
-        else:
-            known = BASELINE_PARAMS
-        for part, keys in (("params", params), ("grid", grid)):
-            _check_keys(f"solvers[{i}].{part}", keys, known)
-        # explicit step sizes have no default; planted sweeps build no solver
-        if (solver["name"] == "alexr" and params.get("preset") is None
-                and problem["builder"] != "planted"):
-            _check_required(f"solvers[{i}].params", params.keys() | grid.keys(), ("eta", "tau"))
+            if preset is not None and (not isinstance(preset, str) or preset not in ALEXR_PRESETS):
+                _fail(f"{at}.params.preset", f"unknown preset {preset!r}")
+            params = {k: v for k, v in params.items() if k != "preset"}
+        declared = _solver_params(name, preset)
+        _check_params(f"{at}.params.", params, declared)
+        _check_params(f"{at}.grid.", grid, declared, is_grid=True)
+        # planted sweeps build no solver
+        if builder != "planted":
+            _check_required(f"{at}.params.", params.keys() | grid.keys(), declared)
     problem_params = problem.get("params", {})
     if not isinstance(problem_params, dict):
         _fail("problem.params", "params must be a mapping")
-    _check_keys("problem.params", problem_params, BUILDER_PARAMS[problem["builder"]])
-    _check_required("problem.params", problem_params, BUILDER_REQUIRED.get(problem["builder"], ()))
-    seeds = raw.get("seeds", [1, 2, 3, 4, 5])
-    if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
+    _check_params("problem.params.", problem_params, BUILDER_PARAMS[builder])
+    _check_required("problem.params.", problem_params, BUILDER_PARAMS[builder])
+    config = ExperimentConfig(**{k: raw[k] for k in raw.keys() & _FIELDS})
+    seeds = config.seeds
+    if not isinstance(seeds, list) or not seeds or not all(_is_kind(s, int) for s in seeds):
         _fail("seeds", "need a nonempty list of integer seeds")
-    eval_every = raw.get("eval_every", 100)
-    if not isinstance(eval_every, int) or eval_every < 1:
+    if not _is_kind(config.eval_every, int) or config.eval_every < 1:
         _fail("eval_every", "must be a positive integer")
-    emit = raw.get("emit", "csv")
-    if emit not in ("csv", "json_lines"):
-        _fail("emit", f"unknown format {emit!r}")
-    epsilons = raw.get("epsilons")
+    if config.emit not in ("csv", "json_lines"):
+        _fail("emit", f"unknown format {config.emit!r}")
+    epsilons = config.epsilons
     if epsilons is not None:
         if (not isinstance(epsilons, list) or len(epsilons) < 1
-                or any(not isinstance(e, (int, float)) or e <= 0 for e in epsilons)
+                or any(not _is_kind(e, float) or e <= 0 for e in epsilons)
                 or any(b >= a for a, b in zip(epsilons, epsilons[1:]))):
             _fail("epsilons", "need a strictly decreasing list of positive targets")
-    budget = raw.get("budget")
-    if budget is not None and (not isinstance(budget, int) or budget < 0):
+    if config.budget is not None and (not _is_kind(config.budget, int) or config.budget < 0):
         _fail("budget", "must be a nonnegative integer")
-    return ExperimentConfig(problem=problem, solvers=solvers, seeds=seeds,
-                            eval_every=eval_every, emit=emit,
-                            epsilons=epsilons, budget=budget)
+    # two cells writing the same record file would overwrite each other
+    owner = {}
+    for i, solver in enumerate(solvers):
+        for label, _name, _params in expand_solver_grid(solver):
+            fname = _cell_filename(label, seeds[0], config.emit)
+            if fname in owner:
+                _fail(f"solvers[{i}]", f"cell {label!r} writes the same record files as a cell"
+                                       f" of solvers[{owner[fname]}]; give them distinct labels")
+            owner[fname] = i
+    return config
 
 
 def load_config(path):
@@ -144,80 +190,78 @@ def load_config(path):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BuiltProblem:
-    problem: object
-    f_star: Optional[float] = None
-    x_star: Optional[np.ndarray] = None
-    mu: float = 0.0
+# Every builder's parameters and defaults; `str` marks the required file path.
+# Builders receive these defaults merged with the config's params.
+_GDRO = {"divergence": "cvar", "alpha": 0.5, "lam": 1.0, "weight_decay": 0.0,
+         "risk_bound": 4.0, "f_star": None}
+_PAUC = {"alpha": 0.5, "surrogate": "squared_hinge", "weight_decay": 0.0, "f_star": None}
+BUILDER_PARAMS = {
+    "hard_smooth": {"n": 100, "nu": 0.3, "sigma": 1.0},
+    "hard_nonsmooth": {"n": 50, "nu": 0.5, "beta": 1.0, "alpha_reg": 1.0, "sigma": 1.0},
+    "gdro_synthetic": {"data_seed": 0, "n_groups": 20, "d": 10, "samples_per_group": 200,
+                       "heterogeneity": 0.5, **_GDRO},
+    "gdro_csv": {"path": str, "group_column": "group", "label_column": "label",
+                 "min_group_size": 1, **_GDRO},
+    "pauc_synthetic": {"data_seed": 0, "n_pos": 50, "n_neg": 200, "d": 10, "separation": 1.0,
+                       **_PAUC},
+    "pauc_libsvm": {"path": str, **_PAUC},
+    # read by sweep_rate; the planted pseudo-problem builds nothing
+    "planted": {"coeff": 1.0, "power": 2.0},
+}
 
 
-def _build_hard_smooth(params):
-    inst = build_hard_smooth(n=params.get("n", 100), nu=params.get("nu", 0.3),
-                             sigma=params.get("sigma", 1.0))
-    return BuiltProblem(inst.problem, f_star=inst.f_star, x_star=inst.x_star, mu=inst.mu)
+# the hard-instance params are the library builders' keyword arguments
+def _build_hard_smooth(p):
+    return build_hard_smooth(**p)
 
 
-def _build_hard_nonsmooth(params):
-    inst = build_hard_nonsmooth(
-        n=params.get("n", 50), nu=params.get("nu", 0.5), beta=params.get("beta", 1.0),
-        alpha_reg=params.get("alpha_reg", 1.0), sigma=params.get("sigma", 1.0))
-    return BuiltProblem(inst.problem, f_star=inst.f_star, x_star=inst.x_star, mu=inst.mu)
+def _build_hard_nonsmooth(p):
+    return build_hard_nonsmooth(**p)
 
 
-def _build_gdro_synthetic(params):
-    rng = np.random.default_rng(params.get("data_seed", 0))
-    data = build_synthetic_gdro(
-        n_groups=params.get("n_groups", 20), d=params.get("d", 10),
-        samples_per_group=params.get("samples_per_group", 200),
-        heterogeneity=params.get("heterogeneity", 0.5), rng=rng)
-    problem = build_gdro(
-        data, divergence=params.get("divergence", "cvar"),
-        alpha=params.get("alpha", 0.5), lam=params.get("lam", 1.0),
-        weight_decay=params.get("weight_decay", 0.0),
-        risk_bound=params.get("risk_bound", 4.0))
-    return BuiltProblem(problem, f_star=params.get("f_star"))
+def _gdro(data, p):
+    problem = build_gdro(data, divergence=p["divergence"], alpha=p["alpha"], lam=p["lam"],
+                         weight_decay=p["weight_decay"], risk_bound=p["risk_bound"])
+    return BuiltProblem(problem, f_star=p["f_star"])
 
 
-def _build_gdro_csv(params):
-    with open(params["path"], "r", encoding="utf-8") as fh:
-        data = load_grouped_csv(fh, group_column=params.get("group_column", "group"),
-                                label_column=params.get("label_column", "label"),
-                                min_group_size=params.get("min_group_size", 1))
-    problem = build_gdro(
-        data, divergence=params.get("divergence", "cvar"),
-        alpha=params.get("alpha", 0.5), lam=params.get("lam", 1.0),
-        weight_decay=params.get("weight_decay", 0.0),
-        risk_bound=params.get("risk_bound", 4.0))
-    return BuiltProblem(problem, f_star=params.get("f_star"))
+def _build_gdro_synthetic(p):
+    rng = np.random.default_rng(p["data_seed"])
+    return _gdro(build_synthetic_gdro(n_groups=p["n_groups"], d=p["d"],
+                                      samples_per_group=p["samples_per_group"],
+                                      heterogeneity=p["heterogeneity"], rng=rng), p)
 
 
-def _build_pauc_synthetic(params):
-    rng = np.random.default_rng(params.get("data_seed", 0))
-    data = build_synthetic_pauc(
-        n_pos=params.get("n_pos", 50), n_neg=params.get("n_neg", 200),
-        d=params.get("d", 10), separation=params.get("separation", 1.0),
-        alpha=params.get("alpha", 0.5), rng=rng)
-    problem = build_pauc(data, surrogate=params.get("surrogate", "squared_hinge"),
-                         weight_decay=params.get("weight_decay", 0.0))
-    return BuiltProblem(problem, f_star=params.get("f_star"))
+def _build_gdro_csv(p):
+    with open(p["path"], "r", encoding="utf-8") as fh:
+        data = load_grouped_csv(fh, group_column=p["group_column"], label_column=p["label_column"],
+                                min_group_size=p["min_group_size"])
+    return _gdro(data, p)
 
 
-def _build_pauc_libsvm(params):
-    feats, labels = load_libsvm(params["path"])
+def _pauc(data, p):
+    problem = build_pauc(data, surrogate=p["surrogate"], weight_decay=p["weight_decay"])
+    return BuiltProblem(problem, f_star=p["f_star"])
+
+
+def _build_pauc_synthetic(p):
+    rng = np.random.default_rng(p["data_seed"])
+    return _pauc(build_synthetic_pauc(n_pos=p["n_pos"], n_neg=p["n_neg"], d=p["d"],
+                                      separation=p["separation"], alpha=p["alpha"], rng=rng), p)
+
+
+def _build_pauc_libsvm(p):
+    feats, labels = load_libsvm(p["path"])
     try:
         feats = np.asarray(feats.todense())
     except (ValueError, MemoryError) as exc:
-        raise DataError(f"{params['path']}: cannot densify the {feats.shape[0]}x{feats.shape[1]} "
+        raise DataError(f"{p['path']}: cannot densify the {feats.shape[0]}x{feats.shape[1]} "
                         f"LIBSVM matrix ({exc})") from exc
-    data = PaucDataset(positives=feats[labels > 0], negatives=feats[labels <= 0],
-                       alpha=params.get("alpha", 0.5))
-    problem = build_pauc(data, surrogate=params.get("surrogate", "squared_hinge"),
-                         weight_decay=params.get("weight_decay", 0.0))
-    return BuiltProblem(problem, f_star=params.get("f_star"))
+    return _pauc(PaucDataset(positives=feats[labels > 0], negatives=feats[labels <= 0],
+                             alpha=p["alpha"]), p)
 
 
-def _build_planted(params):
+def _build_planted(p):
     return BuiltProblem(problem=None)
 
 
@@ -231,66 +275,62 @@ PROBLEM_BUILDERS = {
     "planted": _build_planted,
 }
 
-# Parameter names each builder reads (the planted pseudo-problem's are read
-# by sweep_rate); validate_config rejects any other key.
-_GDRO = {"divergence", "alpha", "lam", "weight_decay", "risk_bound", "f_star"}
-_PAUC = {"alpha", "surrogate", "weight_decay", "f_star"}
-BUILDER_PARAMS = {
-    "hard_smooth": {"n", "nu", "sigma"},
-    "hard_nonsmooth": {"n", "nu", "beta", "alpha_reg", "sigma"},
-    "gdro_synthetic": _GDRO | {"data_seed", "n_groups", "d", "samples_per_group", "heterogeneity"},
-    "gdro_csv": _GDRO | {"path", "group_column", "label_column", "min_group_size"},
-    "pauc_synthetic": _PAUC | {"data_seed", "n_pos", "n_neg", "d", "separation"},
-    "pauc_libsvm": _PAUC | {"path"},
-    "planted": {"coeff", "power"},
-}
-# Parameters without a default: the builder reads them as params[key].
-BUILDER_REQUIRED = {"gdro_csv": ("path",), "pauc_libsvm": ("path",)}
+
+def _problem_params(spec):
+    """A config's problem params merged over its builder's defaults."""
+    return {**BUILDER_PARAMS[spec["builder"]], **spec.get("params", {})}
+
+
+def _build(spec):
+    return PROBLEM_BUILDERS[spec["builder"]](_problem_params(spec))
+
 
 SOLVER_NAMES = ("alexr", "bsgd", "sox", "msvr", "sgd_erm", "sgd_uw")
+# ALEXR's library callable per preset (None: explicit step sizes).
+ALEXR_PRESETS = {None: AlexrConfig, "strongly_convex": strongly_convex_preset,
+                 "convex": convex_preset}
+# What make_solver supplies where the callable has no default, per preset and
+# for BaselineConfig ("baseline"); mu=None stands for the built problem's.
+# The harness sets seed, label, n and variant itself: they are not config keys.
+_SIZES = {"S": 1, "B": 1, "T": 0}
+_FILLS = {None: {**_SIZES, "theta": 0.0},
+          "strongly_convex": {**_SIZES, "mu": None, "epsilon": 1e-3},
+          "convex": {**_SIZES, "epsilon": 1e-2}, "baseline": {"step": 1.0}}
+_HARNESS_SET = {"seed", "label", "n", "variant"}
 
-# Parameter names make_solver reads: per alexr preset (None = explicit step
-# sizes), and for every baseline.
-_BATCHING = {"S", "B", "T"}
-ALEXR_PARAMS = {
-    None: _BATCHING | {"eta", "tau", "theta", "psi_mode", "averaging"},
-    "strongly_convex": _BATCHING | {"mu", "epsilon", "theta", "theta_margin", "psi_mode"},
-    "convex": _BATCHING | {"epsilon", "theta", "eta_coeff", "tau_coeff", "psi_mode"},
-}
-BASELINE_PARAMS = _BATCHING | {"step", "gamma", "averaging", "subgradient_fallback"}
+
+def _solver_factory(name, preset):
+    if name != "alexr":
+        return BaselineConfig, _FILLS["baseline"]
+    return ALEXR_PRESETS[preset], _FILLS[preset]
+
+
+def _solver_params(name, preset=None):
+    """A solver entry's parameters mapped to their defaults: the keyword
+    arguments of its config or preset, minus the ones the harness sets, with
+    make_solver's fills where the library has no default, and `float`
+    where neither has one (a required number)."""
+    factory, fills = _solver_factory(name, preset)
+    return {key: fills.get(key, float if p.default is p.empty else p.default)
+            for key, p in inspect.signature(factory).parameters.items()
+            if key not in _HARNESS_SET}
 
 
 def make_solver(name, params, seed, built, label=None):
-    """Instantiate a solver config; `alexr` params may name a preset whose
+    """Instantiate a solver config from an entry's params plus the fills the
+    library leaves without a default; `alexr` params may name a preset whose
     step sizes are derived from the problem and a target accuracy."""
     params = dict(params)
-    label = label or name
-    if name == "alexr":
-        preset = params.pop("preset", None)
-        common = dict(S=params.get("S", 1), B=params.get("B", 1), T=params.get("T", 0),
-                      seed=seed, label=label)
-        if preset == "strongly_convex":
-            return strongly_convex_preset(
-                mu=params.get("mu", built.mu), n=built.problem.n,
-                epsilon=params.get("epsilon", 1e-3),
-                theta=params.get("theta"), theta_margin=params.get("theta_margin", 0.5),
-                psi_mode=params.get("psi_mode", "quadratic"), **common)
-        if preset == "convex":
-            return convex_preset(
-                epsilon=params.get("epsilon", 1e-2), theta=params.get("theta", 0.0),
-                eta_coeff=params.get("eta_coeff", 1.0), tau_coeff=params.get("tau_coeff", 1.0),
-                psi_mode=params.get("psi_mode", "quadratic"), **common)
-        if preset is not None:
-            raise ConfigValidationError("solvers[].params.preset", f"unknown preset {preset!r}")
-        return AlexrConfig(
-            eta=params["eta"], tau=params["tau"], theta=params.get("theta", 0.0),
-            psi_mode=params.get("psi_mode", "quadratic"),
-            averaging=params.get("averaging", "uniform"), **common)
-    return BaselineConfig(
-        variant=name, step=params.get("step", 1.0), gamma=params.get("gamma", 0.9),
-        S=params.get("S", 1), B=params.get("B", 1), T=params.get("T", 0),
-        seed=seed, averaging=params.get("averaging", "last"),
-        subgradient_fallback=params.get("subgradient_fallback", False), label=label)
+    preset = params.pop("preset", None) if name == "alexr" else None
+    factory, fills = _solver_factory(name, preset)
+    kwargs = {**fills, **params, "seed": seed, "label": label or name}
+    if name != "alexr":
+        kwargs["variant"] = name
+    elif preset == "strongly_convex":
+        kwargs["n"] = built.problem.n
+        if kwargs["mu"] is None:
+            kwargs["mu"] = built.mu
+    return factory(**kwargs)
 
 
 def expand_solver_grid(entry):
@@ -391,7 +431,7 @@ def _cell_filename(label, seed, fmt):
 
 def _run_cell(problem_spec, label, name, params, seed, eval_every):
     """Worker entry: rebuilds the problem so cells ship no live objects."""
-    built = PROBLEM_BUILDERS[problem_spec["builder"]](problem_spec.get("params", {}))
+    built = _build(problem_spec)
     solver = make_solver(name, params, seed, built, label=label)
     return run(solver, built.problem, eval_every,
                f_star=built.f_star, x_star=built.x_star)
@@ -406,7 +446,7 @@ def run_experiment(config, out_dir, workers=1):
     complete, so outputs are deterministic regardless of scheduling.
     Partial files are removed on failure."""
     os.makedirs(out_dir, exist_ok=True)
-    built = PROBLEM_BUILDERS[config.problem["builder"]](config.problem.get("params", {}))
+    built = _build(config.problem)
     if built.problem is None:
         raise ConfigValidationError("problem.builder", "planted mode is only valid for sweep-rate")
     written = []
@@ -534,17 +574,16 @@ def sweep_rate(config, out_dir):
     builder = config.problem["builder"]
     entries = []
     if builder == "planted":
-        params = config.problem.get("params", {})
-        coeff = params.get("coeff", 1.0)
-        power = params.get("power", 2.0)
+        params = _problem_params(config.problem)
         for eps in config.epsilons:
-            entries.append({"epsilon": eps, "iterations": coeff * eps ** (-power),
+            entries.append({"epsilon": eps, "iterations": params["coeff"] * eps ** -params["power"],
                             "converged": True})
     else:
-        built = PROBLEM_BUILDERS[builder](config.problem.get("params", {}))
+        built = _build(config.problem)
         for eps in config.epsilons:
             params = dict(entry.get("params", {}))
-            params["epsilon"] = eps
+            if params.get("preset") is not None:  # only the presets take a target
+                params["epsilon"] = eps
             if config.budget is not None:
                 params["T"] = config.budget
             records = []

@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataError, InvalidParameterError
+from .metrics import worst_fraction_group_metric
 from .outers import ChiSquareOuter, HingeHard, HuberHard, ScaledPositivePart
 from .problem import (
     BoxDomain,
@@ -41,8 +42,6 @@ class TwoPointNoise:
         p = nu ** 2 / sigma ** 2
         if not 0.0 < p < 1.0:
             raise InvalidParameterError(f"p = nu^2/sigma^2 = {p} must lie in (0, 1)")
-        self.nu = float(nu)
-        self.sigma = float(sigma)
         self.p = p
         self.low = -float(nu)
         self.high = float(nu) * (1.0 - p) / p
@@ -53,17 +52,12 @@ class TwoPointNoise:
     def draw(self, rng, size):
         return self.transform(rng.random(size))
 
-    @property
-    def variance(self):
-        return self.sigma ** 2 * (1.0 - self.p)
-
 
 class GaussianNoise:
     """Centered Gaussian noise, used by generic affine test oracles."""
 
     def __init__(self, sigma):
         self.sigma = float(sigma)
-        self.variance = self.sigma ** 2
 
     def draw(self, rng, size):
         return self.sigma * rng.standard_normal(size)
@@ -153,19 +147,15 @@ class CoordinateNoiseKernel:
 
 
 @dataclass
-class HardInstance:
-    """A separable benchmark problem carrying its known minimizer."""
+class BuiltProblem:
+    """A problem with what is known of its optimum: the minimizer x_star and
+    the optimal value f_star (None where unknown), and the regularizer's
+    strong-convexity modulus mu."""
 
-    problem: ProblemInstance
-    x_star: np.ndarray
-    f_star: float
-    nu: float
-    sigma: float
-    p: float
-    mode: str
-    mu: float
-    beta: Optional[float] = None
-    alpha_reg: Optional[float] = None
+    problem: Optional[ProblemInstance]
+    f_star: Optional[float] = None
+    x_star: Optional[np.ndarray] = None
+    mu: float = 0.0
 
 
 def build_hard_smooth(n, nu, sigma):
@@ -184,10 +174,7 @@ def build_hard_smooth(n, nu, sigma):
         domain=domain, kernel=CoordinateNoiseKernel(noise, outer), name="hard_smooth",
     )
     x_star = np.full(n, -2.0 * nu / 3.0)
-    return HardInstance(
-        problem=problem, x_star=x_star, f_star=-nu ** 2 / 3.0,
-        nu=nu, sigma=sigma, p=noise.p, mode="smooth", mu=reg.mu,
-    )
+    return BuiltProblem(problem=problem, x_star=x_star, f_star=-nu ** 2 / 3.0, mu=reg.mu)
 
 
 def build_hard_nonsmooth(n, nu, beta, alpha_reg, sigma):
@@ -213,11 +200,7 @@ def build_hard_nonsmooth(n, nu, beta, alpha_reg, sigma):
         coord = -nu
     x_star = np.full(n, coord)
     per_component = beta * max(coord, -nu) + 0.5 * alpha_reg * coord ** 2
-    return HardInstance(
-        problem=problem, x_star=x_star, f_star=per_component,
-        nu=nu, sigma=sigma, p=noise.p, mode="nonsmooth", mu=reg.mu,
-        beta=beta, alpha_reg=alpha_reg,
-    )
+    return BuiltProblem(problem=problem, x_star=x_star, f_star=per_component, mu=reg.mu)
 
 
 # ---------------------------------------------------------------------------
@@ -225,19 +208,16 @@ def build_hard_nonsmooth(n, nu, beta, alpha_reg, sigma):
 # ---------------------------------------------------------------------------
 
 
-def logistic_loss(w, a, b):
-    """log(1 + exp(-b * <w, a>)) and its gradient, overflow-safe."""
-    z = b * float(a @ w)
-    loss = float(np.logaddexp(0.0, -z))
-    # sigmoid(-z) via tanh avoids overflow at extreme margins
-    grad = (-b * 0.5 * (1.0 - math.tanh(0.5 * z))) * a
-    return loss, grad
-
-
 def _logistic_risk(w, feats, labels):
     """Mean logistic loss over rows; vectorized."""
     z = labels * (feats @ w)
     return float(np.add.reduce(np.logaddexp(0.0, -z))) / z.size
+
+
+def _group_risks(data, w):
+    """Each group's mean logistic loss."""
+    return np.array([_logistic_risk(w, data.features[rows], data.labels[rows])
+                     for rows in data.group_index])
 
 
 def _logistic_risk_grad(w, feats, labels):
@@ -356,14 +336,8 @@ def build_gdro(data, divergence="cvar", alpha=None, lam=1.0, weight_decay=0.0,
     view = GdroFlatView(data.features, data.labels, data.group_of)
 
     def aux_metrics(x):
-        w = x[:-1]
-        risks = [
-            _logistic_risk(w, data.features[data.group_index[g]], data.labels[data.group_index[g]])
-            for g in range(data.n_groups)
-        ]
-        k = max(1, math.ceil(worst_share * data.n_groups))
-        worst = float(np.mean(np.sort(risks)[-k:]))
-        return {"worst_group_risk": worst}
+        risks = _group_risks(data, x[:-1])
+        return {"worst_group_risk": worst_fraction_group_metric(risks, worst_share, mode="mean")}
 
     return ProblemInstance(
         n=data.n_groups, dim=dim, outers=[outer] * data.n_groups, inners=inners,
@@ -374,11 +348,7 @@ def build_gdro(data, divergence="cvar", alpha=None, lam=1.0, weight_decay=0.0,
 
 def cvar_objective(data, alpha, weight_decay, w, c):
     """Direct evaluation of the capped-hinge dual objective at (w, c)."""
-    risks = np.array([
-        _logistic_risk(w, data.features[rows], data.labels[rows])
-        for rows in data.group_index
-    ])
-    hinge = np.maximum(risks - c, 0.0).mean() / alpha
+    hinge = np.maximum(_group_risks(data, w) - c, 0.0).mean() / alpha
     return hinge + c + 0.5 * weight_decay * float(w @ w)
 
 

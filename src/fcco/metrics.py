@@ -1,6 +1,6 @@
-"""Evaluation metrics and rate-analysis utilities: objective gaps, exact
-partial AUC, worst-group aggregation, dual-table radius accounting, and
-log-log complexity-slope fitting."""
+"""Evaluation metrics and rate-analysis utilities: exact partial AUC,
+worst-group aggregation, dual-table radius accounting, and log-log
+complexity-slope fitting."""
 
 from __future__ import annotations
 
@@ -15,18 +15,6 @@ from .errors import (
     InsufficientPointsError,
     InvalidParameterError,
 )
-from .problem import evaluate_objective
-
-
-def objective_gap(problem, x, f_star):
-    """F(x) - f_star for a problem with known (or reference) optimal value."""
-    return evaluate_objective(problem, x) - f_star
-
-
-def distance_sq_gap(x, x_star, mu):
-    """(mu/2) * ||x - x_star||^2, the strongly convex convergence measure."""
-    diff = np.asarray(x, dtype=float) - np.asarray(x_star, dtype=float)
-    return 0.5 * mu * float(diff @ diff)
 
 
 def pauc_exact(pos_scores, neg_scores, alpha):

@@ -2,8 +2,12 @@
 
 import json
 import os
+import pathlib
+import re
 
 import pytest
+
+from fcco import harness
 
 from fcco.cli import main as cli_main
 from fcco.errors import ConfigValidationError
@@ -19,6 +23,7 @@ from fcco.harness import (
 from fcco.instances import build_hard_smooth
 from fcco.solvers import AlexrConfig, run
 
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 BASE_CONFIG = {
     "problem": {"builder": "hard_smooth", "params": {"n": 6, "nu": 0.3, "sigma": 1.0}},
@@ -119,6 +124,171 @@ def test_validate_config_bad_epsilons():
     bad["epsilons"] = [0.01, 0.02]
     with pytest.raises(ConfigValidationError):
         validate_config(bad)
+
+
+def validation_error(config):
+    with pytest.raises(ConfigValidationError) as exc:
+        validate_config(config)
+    return exc.value
+
+
+def edited(edit):
+    config = json.loads(json.dumps(BASE_CONFIG))
+    edit(config)
+    return config
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda c: c.update(seed=[1]), "seed"),
+    (lambda c: c.update(eval_evry=5), "eval_evry"),
+    (lambda c: c.update(budgett=10), "budgett"),
+    (lambda c: c["solvers"][0].update(lable="a"), "solvers[0].lable"),
+    (lambda c: c["solvers"][1].update(gird={"step": [1.0]}), "solvers[1].gird"),
+    (lambda c: c["problem"].update(parms={"n": 4}), "problem.parms"),
+])
+def test_validate_config_rejects_unknown_keys_at_every_level(tmp_path, capsys, edit, field):
+    assert validation_error(edited(edit)).field == field
+    assert cli_main(["--out", str(tmp_path), "validate", write_config(tmp_path, edited(edit))]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {field}: unknown key")
+
+
+def test_cli_runs_a_manifest_as_its_config(tmp_path, capsys):
+    first = tmp_path / "first"
+    assert cli_main(["--out", str(first), "run", write_config(tmp_path, BASE_CONFIG)]) == 0
+    second = tmp_path / "second"
+    assert cli_main(["--out", str(second), "run", str(first / "manifest.json")]) == 0
+    assert sorted(os.listdir(first)) == sorted(os.listdir(second))
+    for name in sorted(os.listdir(first)):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+@pytest.mark.parametrize("solvers, field", [
+    # two unlabeled entries of one solver would write alexr__seed1.csv twice
+    ([{"name": "alexr", "params": {"eta": 0.5, "tau": 1.0}},
+      {"name": "alexr", "params": {"eta": 2.0, "tau": 1.0}}], "solvers[1]"),
+    # labels that differ only in characters the file name replaces
+    ([{"name": "bsgd", "label": "a b"}, {"name": "sox", "label": "a_b"}], "solvers[1]"),
+    # a grid that repeats a value repeats its cell
+    ([{"name": "sox", "grid": {"step": [1.0, 1.0]}}], "solvers[0]"),
+    # a label equal to another entry's grid cell
+    ([{"name": "sox", "grid": {"step": [1.0]}}, {"name": "bsgd", "label": "sox[step=1.0]"}],
+     "solvers[1]"),
+])
+def test_validate_config_rejects_colliding_cell_labels(solvers, field):
+    config = dict(BASE_CONFIG, solvers=solvers)
+    err = validation_error(config)
+    assert err.field == field
+    assert "same record files" in str(err)
+
+
+def test_validate_config_accepts_distinct_labels():
+    config = dict(BASE_CONFIG, solvers=[
+        {"name": "alexr", "params": {"eta": 0.5, "tau": 1.0}},
+        {"name": "alexr", "label": "alexr-slow", "params": {"eta": 2.0, "tau": 1.0}},
+        {"name": "alexr", "params": {"eta": 0.5}, "grid": {"tau": [1.0, 2.0]}},
+    ])
+    validate_config(config)
+
+
+@pytest.mark.parametrize("edit, field, kind", [
+    (lambda c: c["solvers"][0]["params"].update(T="4"), "solvers[0].params.T", "an integer"),
+    (lambda c: c["solvers"][0]["params"].update(eta="0.5"), "solvers[0].params.eta", "a number"),
+    (lambda c: c["problem"]["params"].update(n="6"), "problem.params.n", "an integer"),
+    (lambda c: c["solvers"][1]["params"].update(S=2.5), "solvers[1].params.S", "an integer"),
+    # a bool is neither an int nor a number
+    (lambda c: c["solvers"][0]["params"].update(B=True), "solvers[0].params.B", "an integer"),
+    (lambda c: c["solvers"][1]["params"].update(step=False), "solvers[1].params.step", "a number"),
+    (lambda c: c["solvers"][1]["params"].update(subgradient_fallback=1),
+     "solvers[1].params.subgradient_fallback", "a boolean"),
+    (lambda c: c["solvers"][0]["params"].update(psi_mode=2), "solvers[0].params.psi_mode",
+     "a string"),
+    (lambda c: c["solvers"][0].update(grid={"theta": [0.0, "1"]}), "solvers[0].grid.theta",
+     "a number"),
+    (lambda c: c.update(problem={"builder": "gdro_csv", "params": {"path": 3}}),
+     "problem.params.path", "a string"),
+    (lambda c: c["problem"]["params"].update(nu=None), "problem.params.nu", "a number"),
+    (lambda c: c["solvers"][0].update(label=7), "solvers[0].label", "a string"),
+    (lambda c: c.update(eval_every=True), "eval_every", "a positive integer"),
+])
+def test_validate_config_rejects_wrong_typed_values(tmp_path, capsys, edit, field, kind):
+    # values of the wrong kind fail at validation with exit 1, not as a
+    # TypeError traceback once the run has started
+    err = validation_error(edited(edit))
+    assert err.field == field
+    assert kind in str(err)
+    path = write_config(tmp_path, edited(edit))
+    assert cli_main(["--out", str(tmp_path), "validate", path]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {field}")
+    assert cli_main(["--out", str(tmp_path / "out"), "run", path]) == 1
+
+
+def test_validate_config_accepts_ints_for_numbers():
+    config = edited(lambda c: c["solvers"][0]["params"].update(eta=1, theta=1))
+    config["problem"]["params"]["sigma"] = 1
+    validate_config(config)
+
+
+# The config surface: every builder's and solver's parameter names, and the
+# ones without a default.  A signature edit that changes them shows here.
+BUILDER_SURFACE = {
+    "hard_smooth": ({"n", "nu", "sigma"}, set()),
+    "hard_nonsmooth": ({"n", "nu", "beta", "alpha_reg", "sigma"}, set()),
+    "gdro_synthetic": ({"divergence", "alpha", "lam", "weight_decay", "risk_bound", "f_star",
+                        "data_seed", "n_groups", "d", "samples_per_group", "heterogeneity"}, set()),
+    "gdro_csv": ({"divergence", "alpha", "lam", "weight_decay", "risk_bound", "f_star",
+                  "path", "group_column", "label_column", "min_group_size"}, {"path"}),
+    "pauc_synthetic": ({"alpha", "surrogate", "weight_decay", "f_star",
+                        "data_seed", "n_pos", "n_neg", "d", "separation"}, set()),
+    "pauc_libsvm": ({"alpha", "surrogate", "weight_decay", "f_star", "path"}, {"path"}),
+    "planted": ({"coeff", "power"}, set()),
+}
+SOLVER_SURFACE = {
+    ("alexr", None): ({"S", "B", "T", "eta", "tau", "theta", "psi_mode", "averaging"},
+                      {"eta", "tau"}),
+    ("alexr", "strongly_convex"): ({"S", "B", "T", "mu", "epsilon", "theta", "theta_margin",
+                                    "psi_mode"}, set()),
+    ("alexr", "convex"): ({"S", "B", "T", "epsilon", "theta", "eta_coeff", "tau_coeff",
+                           "psi_mode"}, set()),
+    **{(name, None): ({"S", "B", "T", "step", "gamma", "averaging", "subgradient_fallback"},
+                      set()) for name in ("bsgd", "sox", "msvr", "sgd_erm", "sgd_uw")},
+}
+
+
+def required_keys(declared):
+    # a type declared in place of a default marks a required parameter
+    return {key for key, default in declared.items() if isinstance(default, type)}
+
+
+def test_config_surface_is_pinned():
+    assert set(harness.PROBLEM_BUILDERS) == set(BUILDER_SURFACE) == set(harness.BUILDER_PARAMS)
+    for builder, (known, required) in BUILDER_SURFACE.items():
+        declared = harness.BUILDER_PARAMS[builder]
+        assert (set(declared), required_keys(declared)) == (known, required), builder
+    assert {name for name, _preset in SOLVER_SURFACE} == set(harness.SOLVER_NAMES)
+    assert {preset for _name, preset in SOLVER_SURFACE} == set(harness.ALEXR_PRESETS)
+    for (name, preset), (known, required) in SOLVER_SURFACE.items():
+        declared = harness._solver_params(name, preset)
+        assert (set(declared), required_keys(declared)) == (known, required), (name, preset)
+
+
+def test_sweep_rate_accepts_solvers_without_a_target(tmp_path):
+    # only the presets take `epsilon`; other solvers rerun the same config
+    for entry in ({"name": "alexr", "params": {"eta": 0.5, "tau": 1.0, "S": 2}},
+                  {"name": "sox", "params": {"step": 0.5, "S": 2}}):
+        config = validate_config({
+            "problem": {"builder": "hard_smooth", "params": {"n": 6}},
+            "solvers": [entry], "seeds": [1], "eval_every": 10,
+            "epsilons": [1.0, 0.5, 0.25], "budget": 40,
+        })
+        report = sweep_rate(config, tmp_path / entry["name"])
+        assert len({e["iterations"] for e in report["entries"]}) == 1
+
+
+def test_readme_configs_validate():
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.DOTALL)
+    assert blocks
+    for block in blocks:
+        validate_config(json.loads(block))
 
 
 # --- record emission ----------------------------------------------------------

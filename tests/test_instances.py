@@ -11,13 +11,13 @@ from fcco.errors import InvalidParameterError
 from fcco.instances import (
     PaucInnerOracle,
     TwoPointNoise,
+    _logistic_risk_grad,
     build_cvar_scalar,
     build_gdro,
     build_hard_nonsmooth,
     build_hard_smooth,
     build_pauc,
     cvar_objective,
-    logistic_loss,
     solve_cvar_reference,
 )
 from fcco.problem import evaluate_objective
@@ -60,7 +60,6 @@ def test_hard_smooth_known_optimum():
     inst = build_hard_smooth(100, 0.3, 1.0)
     assert np.allclose(inst.x_star, -0.2)
     assert inst.f_star == pytest.approx(-0.03)
-    assert inst.p == pytest.approx(0.09)
     assert inst.mu == pytest.approx(1.0 / 200)
     assert evaluate_objective(inst.problem, inst.x_star) == pytest.approx(inst.f_star, abs=1e-12)
 
@@ -123,19 +122,24 @@ def test_hard_nonsmooth_grid_minimum():
 
 
 # --- logistic loss ---------------------------------------------------------
+# _logistic_risk_grad is the mean loss and gradient GDRO runs; one row here.
+
+
+def logistic_row(w, a, b):
+    return _logistic_risk_grad(w, np.asarray(a, dtype=float)[None, :], np.array([float(b)]))
 
 
 def test_logistic_loss_at_zero_weights():
-    loss, _ = logistic_loss(np.zeros(3), np.array([1.0, 2.0, 3.0]), 1.0)
+    loss, _ = logistic_row(np.zeros(3), [1.0, 2.0, 3.0], 1.0)
     assert loss == pytest.approx(math.log(2.0))
 
 
 def test_logistic_loss_large_margin_stable():
     a = np.array([50.0])
-    loss, grad = logistic_loss(np.array([1.0]), a, 1.0)
+    loss, grad = logistic_row(np.array([1.0]), a, 1.0)
     assert 0 <= loss < 1e-20
     assert np.all(np.isfinite(grad))
-    loss_neg, grad_neg = logistic_loss(np.array([1.0]), a, -1.0)
+    loss_neg, grad_neg = logistic_row(np.array([1.0]), a, -1.0)
     assert loss_neg == pytest.approx(50.0, rel=1e-6)
     assert np.all(np.isfinite(grad_neg))
 
@@ -147,11 +151,11 @@ def test_logistic_gradient_finite_differences():
         w = rng.standard_normal(4)
         a = rng.standard_normal(4)
         b = 1.0 if rng.random() < 0.5 else -1.0
-        _, grad = logistic_loss(w, a, b)
+        _, grad = logistic_row(w, a, b)
         for j in range(4):
             e = np.zeros(4)
             e[j] = h
-            fd = (logistic_loss(w + e, a, b)[0] - logistic_loss(w - e, a, b)[0]) / (2 * h)
+            fd = (logistic_row(w + e, a, b)[0] - logistic_row(w - e, a, b)[0]) / (2 * h)
             assert abs(fd - grad[j]) < 1e-6
 
 

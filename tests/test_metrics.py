@@ -9,14 +9,13 @@ from fcco.errors import DegenerateSelectionError, InsufficientPointsError, Inval
 from fcco.instances import build_cvar_scalar, build_hard_smooth
 from fcco.metrics import (
     compute_dual_witness,
-    distance_sq_gap,
     dual_radius,
     fit_rate,
-    objective_gap,
     pauc_exact,
     worst_fraction_group_metric,
 )
 from fcco.problem import evaluate_objective
+from fcco.solvers import AlexrConfig, run
 
 
 def pauc_double_loop(pos, neg, alpha):
@@ -38,30 +37,30 @@ def pauc_double_loop(pos, neg, alpha):
 
 def test_objective_gap_at_optimum_and_identity():
     inst = build_hard_smooth(10, 0.3, 1.0)
-    assert objective_gap(inst.problem, inst.x_star, inst.f_star) == pytest.approx(0.0, abs=1e-12)
+    assert evaluate_objective(inst.problem, inst.x_star) - inst.f_star == pytest.approx(0.0, abs=1e-12)
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = rng.uniform(-1, 1, size=10)
-        gap = objective_gap(inst.problem, x, inst.f_star)
-        assert gap >= -1e-9
-        assert gap + inst.f_star == pytest.approx(evaluate_objective(inst.problem, x))
+        assert evaluate_objective(inst.problem, x) - inst.f_star >= -1e-9
 
 
 def test_objective_gap_at_origin():
     inst = build_hard_smooth(10, 0.3, 1.0)
-    assert objective_gap(inst.problem, np.zeros(10), inst.f_star) == pytest.approx(0.03)
+    assert evaluate_objective(inst.problem, np.zeros(10)) - inst.f_star == pytest.approx(0.03)
 
 
 def test_distance_sq_gap():
-    x_star = np.zeros(100)
-    x = np.zeros(100)
-    x[:4] = 1.0  # squared distance 4
-    assert distance_sq_gap(x, x_star, 1.0 / 200) == pytest.approx(0.01)
-    assert distance_sq_gap(x_star, x_star, 0.3) == 0.0
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        z = rng.standard_normal(5)
-        assert distance_sq_gap(z, np.zeros(5), 0.7) >= 0.0
+    # with averaging='last' and a known x_star, the gap column is
+    # (mu/2)*||x_t - x_star||^2
+    inst = build_hard_smooth(100, 0.3, 1.0)
+    cfg = AlexrConfig(eta=0.5, tau=1.0, theta=1.0, S=4, B=1, T=30, averaging="last")
+    rows = run(cfg, inst.problem, 10, f_star=inst.f_star, x_star=inst.x_star).rows
+    # x0 = 0 and x_star = -0.2 per coordinate: squared distance 4, mu = 1/200
+    assert rows[0].dist_sq == pytest.approx(4.0)
+    assert rows[0].gap == pytest.approx(0.01)
+    for row in rows:
+        assert row.dist_sq >= 0.0
+        assert row.gap == 0.5 * inst.mu * row.dist_sq
 
 
 # --- partial AUC ------------------------------------------------------------
