@@ -154,8 +154,9 @@ def validate_config(raw):
     _check_required("problem.params.", problem_params, BUILDER_PARAMS[builder])
     config = ExperimentConfig(**{k: raw[k] for k in raw.keys() & _FIELDS})
     seeds = config.seeds
-    if not isinstance(seeds, list) or not seeds or not all(_is_kind(s, int) for s in seeds):
-        _fail("seeds", "need a nonempty list of integer seeds")
+    if (not isinstance(seeds, list) or not seeds
+            or not all(_is_kind(s, int) and s >= 0 for s in seeds)):
+        _fail("seeds", "need a nonempty list of non-negative integer seeds")
     if not _is_kind(config.eval_every, int) or config.eval_every < 1:
         _fail("eval_every", "must be a positive integer")
     if config.emit not in ("csv", "json_lines"):
@@ -507,20 +508,19 @@ def run_experiment(config, out_dir, workers=1):
 
 
 def _best_cells(by_cell, solver_entries):
-    """Best-final-objective cell per solver name (the grid selection rule)."""
+    """Best-final-objective cell of each solver entry's grid (the grid
+    selection rule), keyed by the entry's label, which defaults to the
+    solver name."""
     best = {}
     for entry in solver_entries:
-        name = entry["name"]
-        candidates = [(label, recs) for label, recs in by_cell.items()
-                      if label == entry.get("label", name) or label.startswith(f"{entry.get('label', name)}[")]
         scored = []
-        for label, recs in candidates:
+        for label, _name, _params in expand_solver_grid(entry):
+            recs = by_cell[label]
             finals = [rec.rows[-1].objective for rec in recs]
             if all(math.isnan(v) for v in finals):
                 finals = [rec.rows[-1].gap for rec in recs]
             scored.append((float(np.nanmean(finals)), label))
-        if scored:
-            best[name] = min(scored)[1]
+        best[entry.get("label", entry["name"])] = min(scored)[1]
     return best
 
 

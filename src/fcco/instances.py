@@ -24,6 +24,7 @@ from .outers import ChiSquareOuter, HingeHard, HuberHard, ScaledPositivePart
 from .problem import (
     BoxDomain,
     FlatSampleView,
+    IndexBatchOracle,
     InnerOracle,
     ProblemInstance,
     Regularizer,
@@ -234,7 +235,7 @@ def _logistic_grad_w(w, feats, labels):
     return (s @ feats) / z.size
 
 
-class GroupRiskOracle(InnerOracle):
+class GroupRiskOracle(IndexBatchOracle):
     """g_i(w, c) = (R_i(w) - c) / lam over one group's samples, where R_i is
     the group's mean logistic loss.  Exact evaluation is the full-group pass;
     stochastic batches sample within the group with replacement."""
@@ -257,9 +258,6 @@ class GroupRiskOracle(InnerOracle):
         coeff = scale * y / self.lam
         out[:-1] += coeff * grad_w
         out[-1] -= coeff
-
-    def sample_batch(self, rng, size):
-        return rng.integers(0, self.size, size=size)
 
 
 # share of groups averaged by the chi2 problem's worst_group_risk diagnostic
@@ -419,13 +417,14 @@ def _surrogate(kind):
     return val, deriv
 
 
-class PaucInnerOracle(InnerOracle):
+class PaucInnerOracle(IndexBatchOracle):
     """g_i(w, s) = mean_j ell(<w, a_j - a_i>) - s over negatives a_j for one
     positive a_i; batches sample negatives with replacement.
 
     Scores are computed as `neg @ w - pos.w` and the Jacobian's w-part as
     `slopes @ neg - sum(slopes) * pos`, so no (negatives x d) difference
-    matrix is ever built."""
+    matrix is ever built.  Means are `np.add.reduce(v) / v.size`, which is
+    what `np.mean` computes on float64, without its dispatch overhead."""
 
     def __init__(self, pos_row, negatives, surrogate):
         self.pos = np.asarray(pos_row, dtype=float)
@@ -435,11 +434,13 @@ class PaucInnerOracle(InnerOracle):
 
     def exact_value(self, x):
         w, s = x[:-1], float(x[-1])
-        return float(np.mean(self.val(self.neg @ w - self.pos @ w))) - s
+        v = self.val(self.neg @ w - self.pos @ w)
+        return float(np.add.reduce(v) / v.size) - s
 
     def stochastic_value(self, x, batch):
         w, s = x[:-1], float(x[-1])
-        return float(np.mean(self.val(self.neg[batch] @ w - self.pos @ w))) - s
+        v = self.val(self.neg[batch] @ w - self.pos @ w)
+        return float(np.add.reduce(v) / v.size) - s
 
     def accumulate_jtvp(self, out, x, batch, y, scale):
         # the w-part is the batch mean of ell'(<w, a_j - a_i>) (a_j - a_i)
@@ -447,11 +448,8 @@ class PaucInnerOracle(InnerOracle):
         neg_b = self.neg[batch]
         slopes = self.deriv(neg_b @ w - self.pos @ w)
         coeff = scale * y
-        out[:-1] += (coeff / len(batch)) * (slopes @ neg_b - slopes.sum() * self.pos)
+        out[:-1] += (coeff / len(batch)) * (slopes @ neg_b - np.add.reduce(slopes) * self.pos)
         out[-1] -= coeff
-
-    def sample_batch(self, rng, size):
-        return rng.integers(0, self.size, size=size)
 
 
 def build_pauc(data, surrogate="squared_hinge", weight_decay=0.0):

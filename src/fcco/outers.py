@@ -9,7 +9,10 @@ has a closed form for each shipped function because every conjugate is at
 most quadratic on its domain.  All value/derivative methods accept floats or
 numpy arrays and broadcast elementwise.  `HuberHard.value` computes a float
 argument in scalar arithmetic, with the same result as its array path, bit
-for bit; exact evaluation calls it once per component.
+for bit; exact evaluation calls it once per component.  So do
+`ScaledPositivePart.subgradient` and `prox_dual_quadratic`, which the
+per-block solver path calls once per sampled block; both return the array
+path's `np.float64`.
 
 Clamps onto scalar bounds are written np.minimum(hi, np.maximum(lo, v)): in
 that operand order they return what np.clip returns, signed zeros included,
@@ -99,6 +102,9 @@ class ScaledPositivePart(OuterFunction):
         return np.maximum(u, 0.0) / self.alpha
 
     def subgradient(self, u):
+        if isinstance(u, float):
+            # NaN and +-0.0 fall through both tests, as in np.where
+            return np.float64(self.cap if u > 0 else 0.0 if u < 0 else 0.5 * self.cap)
         return np.where(np.asarray(u) > 0, self.cap, np.where(np.asarray(u) < 0, 0.0, 0.5 * self.cap))[()]
 
     def conjugate_value(self, y):
@@ -108,7 +114,17 @@ class ScaledPositivePart(OuterFunction):
         return (0.0, self.cap)
 
     def prox_dual_quadratic(self, y_prev, g_tilde, tau):
-        return np.minimum(self.cap, np.maximum(0.0, y_prev + g_tilde / tau))
+        v = y_prev + g_tilde / tau
+        if isinstance(v, float):
+            # np.maximum(a, b) is a if a > b (or a is NaN) else b, and
+            # np.minimum(a, b) is a if a < b (or a is NaN) else b: a NaN v
+            # passes through and maximum(0.0, -0.0) is -0.0
+            if 0.0 > v:
+                v = 0.0
+            if self.cap < v:
+                v = self.cap
+            return np.float64(v)
+        return np.minimum(self.cap, np.maximum(0.0, v))
 
     def __repr__(self):
         return f"ScaledPositivePart(alpha={self.alpha})"

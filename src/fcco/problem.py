@@ -128,6 +128,16 @@ class InnerOracle(ABC):
         """Draw a size-`size` mini-batch handle (i.i.d. with replacement)."""
 
 
+class IndexBatchOracle(InnerOracle):
+    """An inner oracle over a finite population of `size` samples whose batch
+    handles are sample indices drawn uniformly with replacement.  A problem
+    whose inners are all of this kind draws every batch of a solver step in
+    one call (see `ProblemInstance`)."""
+
+    def sample_batch(self, rng, size):
+        return rng.integers(0, self.size, size=size)
+
+
 class FlatSampleView(ABC):
     """Per-sample loss view used by the plain SGD baselines."""
 
@@ -156,6 +166,12 @@ class ProblemInstance:
     (see `solvers.init_state`): the dual values y_i for quadratic ALEXR, the
     tracked inner values u_i for conjugate ALEXR, sox and msvr; component i
     of the table is only touched when block i is sampled.
+
+    When every inner is an `IndexBatchOracle` (as in the GDRO and pAUC
+    builders; a custom oracle over a finite sample set may subclass it and
+    set `size`), `population_sizes` holds each component's population size,
+    and a block-solver step draws all its index batches in one call (see
+    the `solvers` module docstring); otherwise it is None.
 
     `kernel` optionally exposes a vectorized sampled-block backend (see
     `instances.CoordinateNoiseKernel`); when set, every block solver (alexr,
@@ -191,6 +207,9 @@ class ProblemInstance:
                     raise InvalidParameterError(
                         f"component {i}: nonlinear inner requires a nonnegative dual domain"
                     )
+        self.population_sizes = None
+        if all(isinstance(g, IndexBatchOracle) for g in self.inners):
+            self.population_sizes = np.array([g.size for g in self.inners], dtype=np.int64)
 
     @property
     def supports_exact(self):

@@ -38,8 +38,14 @@ msvr-corrected moving average, or the plug-in subgradient.
 Randomness ordering contract (relied on by the equivalence tests): each
 iteration consumes, in order, the outer-batch draw, then for each sampled
 block in ascending index order the value batch followed by the Jacobian
-batch.  The vectorized kernel path draws the same stream in one call, and
-every block solver takes that path when the problem has a kernel.
+batch.  Only `sample_batch` draws inside a step, so the draws may be taken
+together as long as the stream is the same.  The vectorized kernel path
+draws it in one call, and every block solver takes that path when the
+problem has a kernel.  On the per-block path, index-sampled oracles
+(`problem.IndexBatchOracle`) also draw in one call: with the blocks'
+population sizes as an (S, 1, 1) bound, `rng.integers` returns an (S, 2, B)
+array holding the same integers, and leaves the generator in the same
+state, as the 2S per-block `sample_batch` calls.
 """
 
 from __future__ import annotations
@@ -154,6 +160,8 @@ def convex_preset(S, B, T, epsilon, seed=0, theta=0.0, eta_coeff=1.0,
     """Step-size preset for merely convex problems: eta = eta_coeff/epsilon,
     tau = tau_coeff/(B*epsilon).  theta=0 suits non-smooth inner noise,
     theta=1 exploits smooth inner maps.  Reports the uniform average."""
+    if not (epsilon > 0 and math.isfinite(epsilon)):
+        raise InvalidParameterError(f"epsilon must be positive and finite, got {epsilon}")
     eta = eta_coeff / epsilon
     tau = tau_coeff / (B * epsilon)
     return AlexrConfig(eta=eta, tau=tau, theta=theta, S=S, B=B, T=T,
@@ -226,6 +234,8 @@ def _block_step(state, problem, S, B, eta, rule, needs_prev):
     coefficient eta.
     With a `kernel` the sampled blocks are handled as vectors, otherwise one
     by one in ascending index order; both consume the same random stream.
+    On the per-block path, a problem with `population_sizes` draws all the
+    step's index batches in one call before the first block.
     """
     rng, table = state.rng, state.table
     idx = sample_outer_batch(rng, problem.n, S)
@@ -241,10 +251,17 @@ def _block_step(state, problem, S, B, eta, rule, needs_prev):
             table[idx] = new
         kern.accumulate_grad(G, state.x, idx, z[:, 1, :], y, 1.0 / S)
     else:
-        for i in idx:
+        sizes = problem.population_sizes
+        if sizes is not None:
+            # the same integers and generator state as the per-block draws below
+            batches = rng.integers(0, sizes[idx][:, None, None], size=(S, 2, B))
+        for k, i in enumerate(idx):
             orc = problem.inners[i]
-            b_val = orc.sample_batch(rng, B)
-            b_jac = orc.sample_batch(rng, B)
+            if sizes is None:
+                b_val = orc.sample_batch(rng, B)
+                b_jac = orc.sample_batch(rng, B)
+            else:
+                b_val, b_jac = batches[k, 0], batches[k, 1]
             g_now = orc.stochastic_value(state.x, b_val)
             g_prev = orc.stochastic_value(state.x_prev, b_val) if needs_prev else None
             new, y = rule(problem.outers[i], None if table is None else table[i], g_now, g_prev)

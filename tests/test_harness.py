@@ -1,6 +1,7 @@
 """Harness: config validation, record emission, experiments, rate sweeps, CLI."""
 
 import json
+import math
 import os
 import pathlib
 import re
@@ -10,11 +11,12 @@ import pytest
 from fcco import harness
 
 from fcco.cli import main as cli_main
-from fcco.errors import ConfigValidationError
+from fcco.errors import ConfigValidationError, InvalidParameterError
 from fcco.harness import (
     ExperimentConfig,
     emit_records,
     iterations_to_reach,
+    make_solver,
     parse_records_csv,
     run_experiment,
     sweep_rate,
@@ -209,6 +211,8 @@ def test_validate_config_accepts_distinct_labels():
     (lambda c: c["problem"]["params"].update(nu=None), "problem.params.nu", "a number"),
     (lambda c: c["solvers"][0].update(label=7), "solvers[0].label", "a string"),
     (lambda c: c.update(eval_every=True), "eval_every", "a positive integer"),
+    # np.random.default_rng refuses a negative seed once the run has started
+    (lambda c: c.update(seeds=[1, -1]), "seeds", "non-negative integer"),
 ])
 def test_validate_config_rejects_wrong_typed_values(tmp_path, capsys, edit, field, kind):
     # values of the wrong kind fail at validation with exit 1, not as a
@@ -396,6 +400,42 @@ def test_run_experiment_grid_selection(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert len(manifest["cells"]) == 2
     assert manifest["best_cell"]["alexr"] in manifest["cells"]
+
+
+def test_run_experiment_best_cell_per_labelled_entry(tmp_path):
+    # two alexr entries keep one best cell each, chosen from their own cells
+    # only: "a" must not pool the bsgd entry labelled "a[slow]"
+    common = {"tau": 1.0, "theta": 1.0, "S": 2, "B": 1, "T": 30}
+    config = dict(BASE_CONFIG, solvers=[
+        {"name": "alexr", "label": "a", "params": dict(common, eta=0.5)},
+        {"name": "alexr", "label": "b", "grid": {"eta": [0.5, 2.0, 8.0]}, "params": common},
+        {"name": "bsgd", "label": "a[slow]", "params": {"step": 0.5, "S": 2, "B": 1, "T": 30}},
+    ])
+    out = tmp_path / "labelled"
+    run_experiment(validate_config(config), out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    finals = {}
+    for label in manifest["cells"]:
+        rows = [parse_records_csv(out / harness._cell_filename(label, seed, "csv"))[-1]
+                for seed in config["seeds"]]
+        finals[label] = sum(r["objective"] for r in rows) / len(rows)
+    b_cells = [f"b[eta={eta}]" for eta in (0.5, 2.0, 8.0)]
+    assert set(manifest["best_cell"]) == {"a", "b", "a[slow]"}
+    assert manifest["best_cell"]["a"] == "a"
+    assert manifest["best_cell"]["a[slow]"] == "a[slow]"
+    assert manifest["best_cell"]["b"] == min(b_cells, key=finals.get)
+
+
+@pytest.mark.parametrize("epsilon", [0, 0.0, -1e-3, math.nan, math.inf])
+def test_convex_preset_rejects_epsilon_that_is_not_positive_and_finite(tmp_path, capsys,
+                                                                       epsilon):
+    params = {"preset": "convex", "epsilon": epsilon, "S": 2, "B": 1, "T": 5}
+    with pytest.raises(InvalidParameterError, match="epsilon"):
+        make_solver("alexr", params, 1, build_hard_smooth(6, 0.3, 1.0))
+    config = dict(BASE_CONFIG, solvers=[{"name": "alexr", "params": params}])
+    assert cli_main(["--out", str(tmp_path / "out"), "run",
+                     write_config(tmp_path, config)]) == 2
+    assert capsys.readouterr().err.startswith("error: epsilon must be positive and finite")
 
 
 def test_aggregate_keyed_by_oracle_count(tmp_path):

@@ -436,6 +436,46 @@ def test_pauc_oracle_matches_difference_matrix_reference(surrogate):
             assert np.max(np.abs(out - ref_out)) <= 1e-12
 
 
+class NpMeanPaucOracle(PaucInnerOracle):
+    """The pAUC oracle with its means written as np.mean and slopes.sum()."""
+
+    def exact_value(self, x):
+        w, s = x[:-1], float(x[-1])
+        return float(np.mean(self.val(self.neg @ w - self.pos @ w))) - s
+
+    def stochastic_value(self, x, batch):
+        w, s = x[:-1], float(x[-1])
+        return float(np.mean(self.val(self.neg[batch] @ w - self.pos @ w))) - s
+
+    def accumulate_jtvp(self, out, x, batch, y, scale):
+        w = x[:-1]
+        neg_b = self.neg[batch]
+        slopes = self.deriv(neg_b @ w - self.pos @ w)
+        out[:-1] += (scale * y / len(batch)) * (slopes @ neg_b - slopes.sum() * self.pos)
+        out[-1] -= scale * y
+
+
+@pytest.mark.parametrize("surrogate", ["squared_hinge", "logistic"])
+def test_pauc_oracle_means_equal_np_mean_bitwise(surrogate):
+    # np.add.reduce(v) / v.size is what np.mean computes on float64
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        n_neg, d = int(rng.integers(1, 300)), int(rng.integers(1, 51))
+        data = build_synthetic_pauc(3, n_neg, d, 1.0, 0.5, rng)
+        for g in build_pauc(data, surrogate=surrogate).inners:
+            ref = NpMeanPaucOracle(g.pos, g.neg, surrogate)
+            x = rng.standard_normal(d + 1) * rng.uniform(0.1, 3.0)
+            batch = g.sample_batch(rng, int(rng.integers(1, 2 * n_neg + 2)))
+            y, scale = float(rng.standard_normal()), float(rng.random())
+            assert g.exact_value(x) == ref.exact_value(x)
+            assert g.stochastic_value(x, batch) == ref.stochastic_value(x, batch)
+            out = rng.standard_normal(d + 1)
+            ref_out = out.copy()
+            g.accumulate_jtvp(out, x, batch, y, scale)
+            ref.accumulate_jtvp(ref_out, x, batch, y, scale)
+            assert np.array_equal(out, ref_out)
+
+
 @pytest.mark.parametrize("cfg", [
     AlexrConfig(eta=10.0, tau=1.0, theta=0.0, S=4, B=4, T=2000, seed=3),
     AlexrConfig(eta=10.0, tau=1.0, theta=1.0, S=4, B=4, T=2000, seed=4),

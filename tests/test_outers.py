@@ -309,6 +309,52 @@ def test_huber_value_float_path_dense_sweep(nu):
     assert same_bits(got, f.value(u))
 
 
+ZERO_EDGES = [float(np.nextafter(z, t)) for z in (0.0, -0.0) for t in (-1.0, 1.0)]
+spp_args = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                     st.sampled_from(SPECIAL + ZERO_EDGES))
+
+
+def same_float64(got, expected):
+    """Type np.float64 and the same 64 bits, NaN payload and sign included."""
+    return type(got) is np.float64 and got.view(np.int64) == expected.view(np.int64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(alpha=st.floats(1e-3, 1e3), u=spp_args, as_numpy=st.booleans())
+def test_scaled_positive_part_subgradient_float_path_equals_array_path(alpha, u, as_numpy):
+    # a float or np.float64 takes the scalar branch, a 1-element array the
+    # np.where path; NaN and +-0.0 take the midpoint 0.5*cap on both
+    f = ScaledPositivePart(alpha)
+    got = f.subgradient(np.float64(u) if as_numpy else u)
+    assert same_float64(got, f.subgradient(np.array([u]))[0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(alpha=st.floats(1e-3, 1e3), y=spp_args, g=spp_args,
+       tau=st.one_of(st.floats(1e-3, 1e3), st.just(math.inf)), as_numpy=st.booleans())
+def test_scaled_positive_part_prox_float_path_equals_array_path(alpha, y, g, tau, as_numpy):
+    # the per-block solver path passes an np.float64 table entry and a float.
+    # Both paths form y + g/tau in the caller's scalar arithmetic (a NaN's
+    # payload there can differ from an array's), so the reference is the
+    # array path's clamp of that value
+    f = ScaledPositivePart(alpha)
+    y = np.float64(y) if as_numpy else y
+    with np.errstate(all="ignore"):
+        got = f.prox_dual_quadratic(y, g, tau)
+        expected = np.minimum(f.cap, np.maximum(0.0, np.array([y + g / tau])))[0]
+    assert same_float64(got, expected)
+
+
+@pytest.mark.parametrize("v", SPECIAL + ZERO_EDGES + [2.0, 2.5, float(np.nextafter(2.0, 3.0))])
+def test_scaled_positive_part_prox_float_path_at_clamp_edges(v):
+    # y_prev = v and g = -0.0 put v itself (v + -0.0 is v, -0.0 included)
+    # at the clamps [0, cap=2]
+    f = ScaledPositivePart(0.5)
+    got = f.prox_dual_quadratic(v, -0.0, 1.0)
+    assert same_float64(got, f.prox_dual_quadratic(np.array([v]), np.array([-0.0]), 1.0)[0])
+    assert same_float64(got, np.minimum(2.0, np.maximum(0.0, np.array([v])))[0])
+
+
 def old_prox(f, y, g, tau):
     """The dual proxes as they were written with np.clip."""
     if isinstance(f, ScaledPositivePart):

@@ -16,7 +16,7 @@ from fcco.errors import (
     InvalidParameterError,
     NotSmoothError,
 )
-from fcco.datasets import build_synthetic_gdro, build_synthetic_pauc
+from fcco.datasets import build_synthetic_gdro, build_synthetic_pauc, load_grouped_csv
 from fcco.instances import (
     AffineScalarOracle,
     GaussianNoise,
@@ -263,6 +263,74 @@ def test_kernel_and_generic_paths_agree_on_generated_shapes(n, data, B, theta, s
     for inst, smooth in ((build_hard_smooth(n, 0.3, 1.0), True),
                          (build_hard_nonsmooth(n, 0.5, 1.0, 1.0, 1.0), False)):
         _assert_paths_agree(inst, smooth, T=20, S=S, B=B, seed=seed, thetas=(theta,))
+
+
+class PerBlockDrawProblem(ProblemInstance):
+    """A problem that draws each block's batches through its oracle's
+    `sample_batch`, as every problem without `population_sizes` does."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.population_sizes = None
+
+
+def _unequal_gdro_csv():
+    # groups of 3, 11, 40 and 7 rows, read the way the gdro_csv builder reads
+    rng = np.random.default_rng(23)
+    lines = ["f0,f1,f2,label,group"]
+    for group, size in zip("abcd", (3, 11, 40, 7)):
+        for _ in range(size):
+            feats = ",".join(repr(float(v)) for v in rng.standard_normal(3))
+            lines.append(f"{feats},{int(rng.integers(0, 2))},{group}")
+    return load_grouped_csv("\n".join(lines) + "\n", group_column="group")
+
+
+@pytest.mark.parametrize("B", [1, 3, 8])
+@pytest.mark.parametrize("family", ["pauc", "gdro_synthetic", "gdro_csv_unequal"])
+def test_one_draw_per_step_equals_per_oracle_draws(family, B):
+    # index-sampled oracles draw a step's (S, 2, B) batches in one call; the
+    # result, the oracle count and the generator state must be those of the
+    # 2S per-block sample_batch calls, bit for bit
+    if family == "pauc":
+        problem = build_pauc(build_synthetic_pauc(9, 30, 4, 1.0, 0.5, np.random.default_rng(3)))
+    elif family == "gdro_synthetic":
+        problem = build_gdro(build_synthetic_gdro(6, 3, 25, 0.5, np.random.default_rng(4)),
+                             divergence="cvar", alpha=0.5)
+    else:
+        problem = build_gdro(_unequal_gdro_csv(), divergence="cvar", alpha=0.5)
+        assert problem.population_sizes.tolist() == [3, 11, 40, 7]
+    assert problem.population_sizes is not None
+    per_block = PerBlockDrawProblem(**{f.name: getattr(problem, f.name)
+                                       for f in dataclasses.fields(problem)})
+    S, T = 3, 25
+    cases = [(AlexrConfig(eta=10.0, tau=1.0, theta=theta, S=S, B=B, T=T, seed=5), alexr_step)
+             for theta in (0.0, 1.0)]
+    cases += [(BaselineConfig(variant=variant, step=10.0, gamma=0.5, S=S, B=B, T=T, seed=6,
+                              subgradient_fallback=True), step)
+              for variant, step in (("sox", sox_step), ("msvr", msvr_step), ("bsgd", bsgd_step))]
+    for cfg, step in cases:
+        s_one = init_state(cfg, problem)
+        s_each = init_state(cfg, per_block)
+        for _ in range(T):
+            step(s_one, cfg, problem)
+            step(s_each, cfg, per_block)
+        assert np.array_equal(s_one.x, s_each.x), cfg
+        assert np.array_equal(s_one.x_prev, s_each.x_prev), cfg
+        if s_each.table is None:
+            assert s_one.table is None, cfg
+        else:
+            assert np.array_equal(s_one.table, s_each.table), cfg
+        assert s_one.oracle_count == s_each.oracle_count == T * 2 * S * B
+        assert s_one.rng.bit_generator.state == s_each.rng.bit_generator.state, cfg
+
+
+def test_population_sizes_need_every_inner_index_sampled():
+    assert affine_problem(3, 2, PositivePart()).population_sizes is None
+    problem = build_pauc(build_synthetic_pauc(4, 9, 2, 1.0, 0.5, np.random.default_rng(0)))
+    assert problem.population_sizes.tolist() == [9] * 4
+    mixed = dataclasses.replace(problem, inners=problem.inners[:3]
+                                + affine_problem(1, 3, PositivePart()).inners)
+    assert mixed.population_sizes is None
 
 
 def test_conjugate_mode_requires_smooth_outers():
