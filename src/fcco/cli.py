@@ -30,8 +30,6 @@ def _parser():
 
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config")
-    p_run.add_argument("--workers", type=int, default=1,
-                       help="concurrent (solver, seed) cells")
 
     p_sweep = sub.add_parser("sweep-rate", help="empirical iteration-complexity sweep")
     p_sweep.add_argument("config")
@@ -82,7 +80,7 @@ def main(argv=None):
     try:
         if args.command == "run":
             config = load_config(args.config)
-            manifest = run_experiment(config, args.out, workers=args.workers)
+            manifest = run_experiment(config, args.out)
             print(manifest)
             return 0
         if args.command == "sweep-rate":

@@ -31,6 +31,7 @@ from .metrics import fit_rate
 from .solvers import (
     AlexrConfig,
     BaselineConfig,
+    check_preset_epsilon,
     convex_preset,
     run,
     strongly_convex_preset,
@@ -144,9 +145,7 @@ def validate_config(raw):
         declared = _solver_params(name, preset)
         _check_params(f"{at}.params.", params, declared)
         _check_params(f"{at}.grid.", grid, declared, is_grid=True)
-        # planted sweeps build no solver
-        if builder != "planted":
-            _check_required(f"{at}.params.", params.keys() | grid.keys(), declared)
+        _check_required(f"{at}.params.", params.keys() | grid.keys(), declared)
     problem_params = problem.get("params", {})
     if not isinstance(problem_params, dict):
         _fail("problem.params", "params must be a mapping")
@@ -164,21 +163,45 @@ def validate_config(raw):
     epsilons = config.epsilons
     if epsilons is not None:
         if (not isinstance(epsilons, list) or len(epsilons) < 1
-                or any(not _is_kind(e, float) or e <= 0 for e in epsilons)
+                or any(not _is_kind(e, float) or not 0 < e < math.inf for e in epsilons)
                 or any(b >= a for a, b in zip(epsilons, epsilons[1:]))):
-            _fail("epsilons", "need a strictly decreasing list of positive targets")
+            _fail("epsilons", "need a strictly decreasing list of positive finite targets")
     if config.budget is not None and (not _is_kind(config.budget, int) or config.budget < 0):
         _fail("budget", "must be a nonnegative integer")
-    # two cells writing the same record file would overwrite each other
-    owner = {}
+    # two cells writing the same record file, or two entries with the same
+    # best_cell key, would overwrite each other
+    owner, key_owner = {}, {}
     for i, solver in enumerate(solvers):
-        for label, _name, _params in expand_solver_grid(solver):
+        for label, _name, params in expand_solver_grid(solver):
             fname = _cell_filename(label, seeds[0], config.emit)
             if fname in owner:
                 _fail(f"solvers[{i}]", f"cell {label!r} writes the same record files as a cell"
                                        f" of solvers[{owner[fname]}]; give them distinct labels")
             owner[fname] = i
+            _check_targets(f"solvers[{i}]", solver, params, epsilons)
+        key = solver.get("label", solver["name"])
+        if key in key_owner:
+            _fail(f"solvers[{i}]", f"best_cell key {key!r} is also that of solvers[{key_owner[key]}]"
+                                   "; give the entries distinct labels")
+        key_owner[key] = i
     return config
+
+
+def _check_targets(at, entry, params, epsilons):
+    """Check each target accuracy an ALEXR preset cell can receive: its own
+    epsilon (or the fill) and each of a sweep's `epsilons`."""
+    preset = params.get("preset") if entry["name"] == "alexr" else None
+    cell = {**_solver_params("alexr", preset), **params}
+    margin = cell.get("theta_margin")  # only the strongly convex preset has one
+    if preset is None or (margin is not None and cell["theta"] is not None):
+        return  # no target, or one that an explicit theta leaves unread
+    where = "grid" if "epsilon" in entry.get("grid", {}) else "params"
+    for path, eps in [(f"{at}.{where}.epsilon", cell["epsilon"])] + [
+            ("epsilons", e) for e in epsilons or ()]:
+        try:
+            check_preset_epsilon(eps, margin)
+        except FccoError as exc:
+            _fail(path, str(exc))
 
 
 def load_config(path):
@@ -206,8 +229,6 @@ BUILDER_PARAMS = {
     "pauc_synthetic": {"data_seed": 0, "n_pos": 50, "n_neg": 200, "d": 10, "separation": 1.0,
                        **_PAUC},
     "pauc_libsvm": {"path": str, **_PAUC},
-    # read by sweep_rate; the planted pseudo-problem builds nothing
-    "planted": {"coeff": 1.0, "power": 2.0},
 }
 
 
@@ -262,10 +283,6 @@ def _build_pauc_libsvm(p):
                              alpha=p["alpha"]), p)
 
 
-def _build_planted(p):
-    return BuiltProblem(problem=None)
-
-
 PROBLEM_BUILDERS = {
     "hard_smooth": _build_hard_smooth,
     "hard_nonsmooth": _build_hard_nonsmooth,
@@ -273,17 +290,13 @@ PROBLEM_BUILDERS = {
     "gdro_csv": _build_gdro_csv,
     "pauc_synthetic": _build_pauc_synthetic,
     "pauc_libsvm": _build_pauc_libsvm,
-    "planted": _build_planted,
 }
 
 
-def _problem_params(spec):
-    """A config's problem params merged over its builder's defaults."""
-    return {**BUILDER_PARAMS[spec["builder"]], **spec.get("params", {})}
-
-
 def _build(spec):
-    return PROBLEM_BUILDERS[spec["builder"]](_problem_params(spec))
+    """Build a config's problem from its params merged over the builder's defaults."""
+    return PROBLEM_BUILDERS[spec["builder"]]({**BUILDER_PARAMS[spec["builder"]],
+                                              **spec.get("params", {})})
 
 
 SOLVER_NAMES = ("alexr", "bsgd", "sox", "msvr", "sgd_erm", "sgd_uw")
@@ -430,48 +443,29 @@ def _cell_filename(label, seed, fmt):
     return f"{safe}__seed{seed}.{ext}"
 
 
-def _run_cell(problem_spec, label, name, params, seed, eval_every):
-    """Worker entry: rebuilds the problem so cells ship no live objects."""
-    built = _build(problem_spec)
+def _run_seed(built, label, name, params, seed, eval_every):
+    """One seed of one solver cell on a built problem."""
     solver = make_solver(name, params, seed, built, label=label)
-    return run(solver, built.problem, eval_every,
-               f_star=built.f_star, x_star=built.x_star)
+    return run(solver, built.problem, eval_every, f_star=built.f_star, x_star=built.x_star)
 
 
-def run_experiment(config, out_dir, workers=1):
-    """Execute every (solver cell, seed) pair and write records, an
-    aggregate of seed-mean/std curves keyed by oracle count, and a manifest.
+def run_experiment(config, out_dir):
+    """Execute every (solver cell, seed) pair in this process and write
+    records, an aggregate of seed-mean/std curves keyed by oracle count, and
+    a manifest.
 
-    Cells run concurrently up to `workers` processes; each worker rebuilds
-    its problem from the config, and files are written only after all cells
-    complete, so outputs are deterministic regardless of scheduling.
-    Partial files are removed on failure."""
+    Files are written only after every cell has run, and partial files are
+    removed on failure."""
     os.makedirs(out_dir, exist_ok=True)
-    built = _build(config.problem)
-    if built.problem is None:
-        raise ConfigValidationError("problem.builder", "planted mode is only valid for sweep-rate")
+    # One build up front and one per cell: the traced benchmark pins these
+    # 1 + cells x seeds builds until problems are built once (ROADMAP item 2).
+    _build(config.problem)
+    cells = [(entry, cell) for entry in config.solvers for cell in expand_solver_grid(entry)]
+    jobs = [(label, name, params, seed)
+            for _entry, (label, name, params) in cells for seed in config.seeds]
+    results = [_run_seed(_build(config.problem), *job, config.eval_every) for job in jobs]
     written = []
     try:
-        cells = []
-        for entry in config.solvers:
-            cells.extend(expand_solver_grid(entry))
-        jobs = [(label, name, params, seed)
-                for label, name, params in cells for seed in config.seeds]
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_run_cell, config.problem, label, name, params,
-                                seed, config.eval_every)
-                    for label, name, params, seed in jobs
-                ]
-                results = [f.result() for f in futures]
-        else:
-            results = [
-                _run_cell(config.problem, label, name, params, seed, config.eval_every)
-                for label, name, params, seed in jobs
-            ]
         by_cell = {}
         for (label, _name, _params, seed), rec in zip(jobs, results):
             fname = os.path.join(out_dir, _cell_filename(label, seed, config.emit))
@@ -490,8 +484,8 @@ def run_experiment(config, out_dir, workers=1):
             "seeds": config.seeds,
             "eval_every": config.eval_every,
             "emit": config.emit,
-            "cells": [label for label, _n, _p in cells],
-            "best_cell": _best_cells(by_cell, config.solvers),
+            "cells": [label for _entry, (label, _n, _p) in cells],
+            "best_cell": _best_cells(by_cell, cells),
             "comparison_axis": "oracle_count",
         }
         man_path = os.path.join(out_dir, "manifest.json")
@@ -507,21 +501,19 @@ def run_experiment(config, out_dir, workers=1):
         raise
 
 
-def _best_cells(by_cell, solver_entries):
+def _best_cells(by_cell, cells):
     """Best-final-objective cell of each solver entry's grid (the grid
     selection rule), keyed by the entry's label, which defaults to the
-    solver name."""
-    best = {}
-    for entry in solver_entries:
-        scored = []
-        for label, _name, _params in expand_solver_grid(entry):
-            recs = by_cell[label]
-            finals = [rec.rows[-1].objective for rec in recs]
-            if all(math.isnan(v) for v in finals):
-                finals = [rec.rows[-1].gap for rec in recs]
-            scored.append((float(np.nanmean(finals)), label))
-        best[entry.get("label", entry["name"])] = min(scored)[1]
-    return best
+    solver name.  `cells` holds (entry, cell) pairs."""
+    scored = {}
+    for entry, (label, _name, _params) in cells:
+        recs = by_cell[label]
+        finals = [rec.rows[-1].objective for rec in recs]
+        if all(math.isnan(v) for v in finals):
+            finals = [rec.rows[-1].gap for rec in recs]
+        key = entry.get("label", entry["name"])
+        scored.setdefault(key, []).append((float(np.nanmean(finals)), label))
+    return {key: min(entry_scores)[1] for key, entry_scores in scored.items()}
 
 
 def _write_aggregate(by_cell, path):
@@ -566,34 +558,29 @@ def iterations_to_reach(records, epsilon):
 def sweep_rate(config, out_dir):
     """For each target accuracy, re-derive the preset step sizes, run all
     seeds, measure iterations-to-target on the seed-mean gap curve, and fit
-    the log-log slope over the converged targets."""
-    os.makedirs(out_dir, exist_ok=True)
+    the log-log slope over the converged targets.  The config holds one
+    solver entry without a grid."""
     if not config.epsilons:
         raise ConfigValidationError("epsilons", "sweep-rate needs an epsilon list")
+    if len(config.solvers) > 1:
+        raise ConfigValidationError("solvers", "sweep-rate runs one solver entry, "
+                                               f"got {len(config.solvers)}")
     entry = config.solvers[0]
-    builder = config.problem["builder"]
+    if entry.get("grid"):
+        raise ConfigValidationError("solvers[0].grid", "sweep-rate takes no grid")
+    os.makedirs(out_dir, exist_ok=True)
+    built = _build(config.problem)
     entries = []
-    if builder == "planted":
-        params = _problem_params(config.problem)
-        for eps in config.epsilons:
-            entries.append({"epsilon": eps, "iterations": params["coeff"] * eps ** -params["power"],
-                            "converged": True})
-    else:
-        built = _build(config.problem)
-        for eps in config.epsilons:
-            params = dict(entry.get("params", {}))
-            if params.get("preset") is not None:  # only the presets take a target
-                params["epsilon"] = eps
-            if config.budget is not None:
-                params["T"] = config.budget
-            records = []
-            for seed in config.seeds:
-                solver = make_solver(entry["name"], params, seed, built,
-                                     label=entry.get("label", entry["name"]))
-                records.append(run(solver, built.problem, config.eval_every,
-                                   f_star=built.f_star, x_star=built.x_star))
-            hit = iterations_to_reach(records, eps)
-            entries.append({"epsilon": eps, "iterations": hit, "converged": hit is not None})
+    for eps in config.epsilons:
+        params = dict(entry.get("params", {}))
+        if params.get("preset") is not None:  # only the presets take a target
+            params["epsilon"] = eps
+        if config.budget is not None:
+            params["T"] = config.budget
+        records = [_run_seed(built, entry.get("label", entry["name"]), entry["name"], params,
+                             seed, config.eval_every) for seed in config.seeds]
+        hit = iterations_to_reach(records, eps)
+        entries.append({"epsilon": eps, "iterations": hit, "converged": hit is not None})
 
     converged = [(e["epsilon"], e["iterations"]) for e in entries if e["converged"]]
     report = {"entries": entries, "fit": None, "error": None}

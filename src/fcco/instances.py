@@ -153,7 +153,7 @@ class BuiltProblem:
     the optimal value f_star (None where unknown), and the regularizer's
     strong-convexity modulus mu."""
 
-    problem: Optional[ProblemInstance]
+    problem: ProblemInstance
     f_star: Optional[float] = None
     x_star: Optional[np.ndarray] = None
     mu: float = 0.0

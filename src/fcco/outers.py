@@ -209,9 +209,9 @@ class HuberHard(OuterFunction):
     def value(self, u):
         nu = self.nu
         if isinstance(u, float):
-            # the array path's arithmetic on the selected piece only; numpy's
-            # `** 2` is one multiply, Python's calls pow(), which can round
-            # differently, hence `d * d`
+            # the array path's arithmetic on the selected piece only; both
+            # square as `d * d`, because a scalar `** 2` (Python's, or numpy's
+            # on a 0-d array) calls pow(), which can round differently
             if u < -1.0:
                 return (nu - 1.0) * u + 0.5 * (nu - 1.0) ** 2 + nu - 1.0 - 0.5 * nu ** 2
             if u > 1.0:
@@ -219,7 +219,8 @@ class HuberHard(OuterFunction):
             d = u + nu
             return 0.5 * (d * d) - 0.5 * nu ** 2
         u = np.asarray(u, dtype=float)
-        mid = 0.5 * (u + nu) ** 2 - 0.5 * nu ** 2
+        d = u + nu
+        mid = 0.5 * (d * d) - 0.5 * nu ** 2
         lo = (nu - 1.0) * u + 0.5 * (nu - 1.0) ** 2 + nu - 1.0 - 0.5 * nu ** 2
         hi = (1.0 + nu) * u + 0.5 * (1.0 + nu) ** 2 - 1.0 - nu - 0.5 * nu ** 2
         return np.where(u < -1.0, lo, np.where(u > 1.0, hi, mid))[()]

@@ -139,6 +139,17 @@ class BaselineConfig:
             self.label = self.variant
 
 
+def check_preset_epsilon(epsilon, theta_margin=None):
+    """Raise InvalidParameterError naming epsilon unless a preset can take it
+    as its target: positive and finite, and, given the strongly convex
+    preset's theta_margin, with theta = 1 - theta_margin*epsilon in (0, 1)."""
+    if not (epsilon > 0 and math.isfinite(epsilon)):
+        raise InvalidParameterError(f"epsilon must be positive and finite, got {epsilon}")
+    if theta_margin is not None and not 0.0 < 1.0 - theta_margin * epsilon < 1.0:
+        raise InvalidParameterError(f"epsilon={epsilon} with theta_margin={theta_margin} "
+                                    "leaves theta = 1 - theta_margin*epsilon outside (0, 1)")
+
+
 def strongly_convex_preset(mu, n, S, B, T, epsilon, seed=0, theta=None,
                            theta_margin=0.5, psi_mode=PSI_QUADRATIC, label="alexr"):
     """Step-size preset for mu-strongly-convex problems:
@@ -146,6 +157,7 @@ def strongly_convex_preset(mu, n, S, B, T, epsilon, seed=0, theta=None,
     target accuracy epsilon -> 0 (theta = 1 - theta_margin*epsilon unless
     given explicitly).  Reports the last iterate."""
     if theta is None:
+        check_preset_epsilon(epsilon, theta_margin)
         theta = 1.0 - theta_margin * epsilon
     if not 0.0 < theta < 1.0:
         raise InvalidParameterError("preset needs theta in (0, 1)")
@@ -160,8 +172,7 @@ def convex_preset(S, B, T, epsilon, seed=0, theta=0.0, eta_coeff=1.0,
     """Step-size preset for merely convex problems: eta = eta_coeff/epsilon,
     tau = tau_coeff/(B*epsilon).  theta=0 suits non-smooth inner noise,
     theta=1 exploits smooth inner maps.  Reports the uniform average."""
-    if not (epsilon > 0 and math.isfinite(epsilon)):
-        raise InvalidParameterError(f"epsilon must be positive and finite, got {epsilon}")
+    check_preset_epsilon(epsilon)
     eta = eta_coeff / epsilon
     tau = tau_coeff / (B * epsilon)
     return AlexrConfig(eta=eta, tau=tau, theta=theta, S=S, B=B, T=T,

@@ -23,6 +23,7 @@ from fcco.harness import (
     validate_config,
 )
 from fcco.instances import build_hard_smooth
+from fcco.metrics import fit_rate
 from fcco.solvers import AlexrConfig, run
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -113,7 +114,8 @@ def test_validate_config_accepts_every_key_make_solver_reads():
     config["solvers"] = [
         {"name": "alexr", "params": {"preset": "strongly_convex", "mu": 0.1, "epsilon": 1e-3,
                                      "theta_margin": 0.5, "psi_mode": "quadratic", "S": 2}},
-        {"name": "alexr", "params": {"preset": "convex", "eta_coeff": 1.0, "tau_coeff": 1.0},
+        {"name": "alexr", "label": "alexr-convex",
+         "params": {"preset": "convex", "eta_coeff": 1.0, "tau_coeff": 1.0},
          "grid": {"theta": [0.0, 1.0]}},
         {"name": "sox", "params": {"step": 1.0, "gamma": 0.5, "averaging": "last",
                                    "subgradient_fallback": True, "T": 3}},
@@ -122,10 +124,11 @@ def test_validate_config_accepts_every_key_make_solver_reads():
 
 
 def test_validate_config_bad_epsilons():
-    bad = json.loads(json.dumps(BASE_CONFIG))
-    bad["epsilons"] = [0.01, 0.02]
-    with pytest.raises(ConfigValidationError):
-        validate_config(bad)
+    for epsilons in ([0.01, 0.02], [math.nan], [math.inf, 0.1], [0.1, math.nan]):
+        bad = json.loads(json.dumps(BASE_CONFIG))
+        bad["epsilons"] = epsilons
+        with pytest.raises(ConfigValidationError):
+            validate_config(bad)
 
 
 def validation_error(config):
@@ -187,9 +190,25 @@ def test_validate_config_accepts_distinct_labels():
     config = dict(BASE_CONFIG, solvers=[
         {"name": "alexr", "params": {"eta": 0.5, "tau": 1.0}},
         {"name": "alexr", "label": "alexr-slow", "params": {"eta": 2.0, "tau": 1.0}},
-        {"name": "alexr", "params": {"eta": 0.5}, "grid": {"tau": [1.0, 2.0]}},
+        {"name": "alexr", "label": "alexr-tau", "params": {"eta": 0.5},
+         "grid": {"tau": [1.0, 2.0]}},
     ])
     validate_config(config)
+
+
+@pytest.mark.parametrize("solvers, field", [
+    # distinct cells, but both entries would report best_cell["alexr"]
+    ([{"name": "alexr", "params": {"tau": 1.0}, "grid": {"eta": [0.5, 8.0]}},
+      {"name": "alexr", "params": {"eta": 0.5}, "grid": {"tau": [1.0, 2.0]}}], "solvers[1]"),
+    ([{"name": "sox", "label": "a", "grid": {"step": [1.0]}},
+      {"name": "bsgd", "label": "a", "grid": {"step": [2.0]}}], "solvers[1]"),
+])
+def test_validate_config_rejects_colliding_best_cell_keys(tmp_path, capsys, solvers, field):
+    config = dict(BASE_CONFIG, solvers=solvers)
+    err = validation_error(config)
+    assert err.field == field
+    assert "best_cell key" in str(err) and "distinct labels" in str(err)
+    assert cli_main(["--out", str(tmp_path), "validate", write_config(tmp_path, config)]) == 1
 
 
 @pytest.mark.parametrize("edit, field, kind", [
@@ -244,7 +263,6 @@ BUILDER_SURFACE = {
     "pauc_synthetic": ({"alpha", "surrogate", "weight_decay", "f_star",
                         "data_seed", "n_pos", "n_neg", "d", "separation"}, set()),
     "pauc_libsvm": ({"alpha", "surrogate", "weight_decay", "f_star", "path"}, {"path"}),
-    "planted": ({"coeff", "power"}, set()),
 }
 SOLVER_SURFACE = {
     ("alexr", None): ({"S", "B", "T", "eta", "tau", "theta", "psi_mode", "averaging"},
@@ -363,17 +381,6 @@ def test_run_experiment_rerun_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_run_experiment_worker_pool_matches_serial(tmp_path):
-    config = validate_config(BASE_CONFIG)
-    out1 = tmp_path / "serial"
-    out2 = tmp_path / "pooled"
-    run_experiment(config, out1, workers=1)
-    run_experiment(config, out2, workers=2)
-    assert sorted(os.listdir(out1)) == sorted(os.listdir(out2))
-    for name in sorted(os.listdir(out1)):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-
 def test_run_experiment_manifest_round_trip(tmp_path):
     config = validate_config(BASE_CONFIG)
     out1 = tmp_path / "a"
@@ -432,10 +439,40 @@ def test_convex_preset_rejects_epsilon_that_is_not_positive_and_finite(tmp_path,
     params = {"preset": "convex", "epsilon": epsilon, "S": 2, "B": 1, "T": 5}
     with pytest.raises(InvalidParameterError, match="epsilon"):
         make_solver("alexr", params, 1, build_hard_smooth(6, 0.3, 1.0))
-    config = dict(BASE_CONFIG, solvers=[{"name": "alexr", "params": params}])
-    assert cli_main(["--out", str(tmp_path / "out"), "run",
-                     write_config(tmp_path, config)]) == 2
-    assert capsys.readouterr().err.startswith("error: epsilon must be positive and finite")
+    # validation runs the preset's own check, so neither command starts a run
+    path = write_config(tmp_path, dict(BASE_CONFIG, solvers=[{"name": "alexr", "params": params}]))
+    for command in ("validate", "run"):
+        assert cli_main(["--out", str(tmp_path / "out"), command, path]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: solvers[0].params.epsilon: epsilon must be positive and finite")
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda c: c["solvers"][0].update(grid={"epsilon": [0.1, 0.0]}), "solvers[0].grid.epsilon"),
+    # theta = 1 - theta_margin * epsilon must stay in (0, 1)
+    (lambda c: c["solvers"][0].update(params={"preset": "strongly_convex", "epsilon": 4.0}),
+     "solvers[0].params.epsilon"),
+    (lambda c: c.update(solvers=[{"name": "alexr", "params": {"preset": "strongly_convex"}}],
+                        epsilons=[3.0, 0.1]), "epsilons"),
+])
+def test_validate_config_checks_every_preset_target(tmp_path, capsys, edit, field):
+    config = edited(lambda c: c.update(solvers=[{"name": "alexr", "params": {"preset": "convex"}}],
+                                       epsilons=[0.1, 0.05]))
+    validate_config(config)
+    edit(config)
+    assert validation_error(config).field == field
+    assert cli_main(["--out", str(tmp_path), "validate", write_config(tmp_path, config)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {field}: epsilon")
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, 5.0, math.nan])
+def test_strongly_convex_preset_names_epsilon(epsilon):
+    # theta is derived from epsilon, so the message names what the config set
+    params = {"preset": "strongly_convex", "epsilon": epsilon, "S": 2}
+    with pytest.raises(InvalidParameterError, match="^epsilon"):
+        make_solver("alexr", params, 1, build_hard_smooth(6, 0.3, 1.0))
+    # an explicit theta leaves epsilon unread
+    make_solver("alexr", dict(params, theta=0.5), 1, build_hard_smooth(6, 0.3, 1.0))
 
 
 def test_aggregate_keyed_by_oracle_count(tmp_path):
@@ -450,15 +487,30 @@ def test_aggregate_keyed_by_oracle_count(tmp_path):
 # --- rate sweeps -----------------------------------------------------------------
 
 
-def test_sweep_rate_planted_slope(tmp_path):
-    config = validate_config({
-        "problem": {"builder": "planted", "params": {"coeff": 2.0, "power": 2.0}},
-        "solvers": [{"name": "alexr", "params": {}}],
-        "epsilons": [0.04, 0.02, 0.01],
-    })
-    report = sweep_rate(config, tmp_path)
-    assert report["fit"]["slope"] == pytest.approx(-2.0, abs=1e-9)
-    assert report["fit"]["r_squared"] == pytest.approx(1.0)
+# targets 0.02, 0.01 and 0.005 are reached after 85, 200 and 455 iterations
+CONVERGING_SWEEP = {
+    "problem": {"builder": "hard_smooth", "params": {"n": 6, "nu": 0.9}},
+    "solvers": [{"name": "alexr", "params": {"preset": "strongly_convex", "S": 2}}],
+    "seeds": [1, 2],
+    "eval_every": 5,
+    "epsilons": [0.02, 0.01, 0.005],
+    "budget": 1000,
+}
+
+
+def expected_fit(report):
+    fit = fit_rate([(e["epsilon"], e["iterations"]) for e in report["entries"]])
+    return {"slope": fit.slope, "intercept": fit.intercept, "r_squared": fit.r_squared,
+            "points": fit.points}
+
+
+def test_sweep_rate_fits_the_converged_targets(tmp_path):
+    report = sweep_rate(validate_config(CONVERGING_SWEEP), tmp_path)
+    assert all(e["converged"] and e["iterations"] > 0 for e in report["entries"])
+    assert report["fit"] == expected_fit(report)
+    assert report["error"] is None
+    written = json.loads((tmp_path / "rate_report.json").read_text())
+    assert written["fit"]["slope"] == report["fit"]["slope"]
 
 
 def test_sweep_rate_budget_exhausted_flags_and_errors(tmp_path):
@@ -519,15 +571,25 @@ def test_cli_run_and_outputs(tmp_path, capsys):
     assert (out / "manifest.json").exists()
 
 
-def test_cli_sweep_rate_planted(tmp_path, capsys):
-    path = write_config(tmp_path, {
-        "problem": {"builder": "planted", "params": {"coeff": 1.0, "power": 1.0}},
-        "solvers": [{"name": "alexr", "params": {}}],
-        "epsilons": [0.04, 0.02, 0.01],
-    })
+def test_cli_sweep_rate_prints_the_fit(tmp_path, capsys):
+    path = write_config(tmp_path, CONVERGING_SWEEP)
     assert cli_main(["--out", str(tmp_path / "sweep"), "sweep-rate", path]) == 0
-    out = capsys.readouterr().out
-    assert "-0.99" in out or "-1" in out
+    report = json.loads((tmp_path / "sweep" / "rate_report.json").read_text())
+    assert capsys.readouterr().out == json.dumps(expected_fit(report), sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda c: c["solvers"].append({"name": "sox", "params": {"step": 0.5}}), "solvers"),
+    (lambda c: c["solvers"][0].update(grid={"theta_margin": [0.5, 0.25]}), "solvers[0].grid"),
+])
+def test_cli_sweep_rate_rejects_what_it_would_ignore(tmp_path, capsys, edit, field):
+    # sweep-rate runs one solver entry as it stands; it used to drop the rest
+    config = json.loads(json.dumps(CONVERGING_SWEEP))
+    edit(config)
+    path = write_config(tmp_path, config)
+    assert cli_main(["--out", str(tmp_path / "sweep"), "sweep-rate", path]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {field}: sweep-rate")
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_cli_runtime_error_exit_code(tmp_path):
