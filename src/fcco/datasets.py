@@ -168,8 +168,10 @@ def load_grouped_csv(stream, group_column, label_column="label", min_group_size=
 
     The group column is categorical (first-appearance order); the label
     column must be +-1 or {0, 1} (remapped to -1/+1); every other column is
-    a float feature.  Groups smaller than `min_group_size` are discarded;
-    singleton groups that survive trigger a warning."""
+    a float feature.  A row with a missing or surplus field, or with a
+    value that is not a number, raises DataError naming its line.  Groups
+    smaller than `min_group_size` are discarded; singleton groups that
+    survive trigger a warning."""
     reader = csv.DictReader(_lines(stream))
     if reader.fieldnames is None:
         raise DataError("empty CSV: no header row")
@@ -184,11 +186,13 @@ def load_grouped_csv(stream, group_column, label_column="label", min_group_size=
     name_to_id = {}
     group_of = []
     for row in reader:
+        if None in row or None in row.values():  # DictReader's marks of surplus and missing fields
+            raise DataError(f"line {reader.line_num}: field count differs from the header's")
         try:
             rows.append([float(row[c]) for c in feature_cols])
+            labels.append(float(row[label_column]))
         except ValueError as exc:
-            raise DataError(f"non-numeric feature value: {exc}")
-        labels.append(float(row[label_column]))
+            raise DataError(f"line {reader.line_num}: non-numeric value: {exc}") from exc
         name = row[group_column]
         if name not in name_to_id:
             name_to_id[name] = len(group_names)

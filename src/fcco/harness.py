@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .datasets import build_synthetic_gdro, build_synthetic_pauc, load_grouped_csv, load_libsvm, PaucDataset
-from .errors import ConfigValidationError, DataError, FccoError
+from .errors import ConfigValidationError, DataError, FccoError, InvalidParameterError
 from .instances import (BuiltProblem, build_gdro, build_hard_nonsmooth, build_hard_smooth,
                         build_pauc)
 from .metrics import fit_rate
@@ -172,13 +172,20 @@ def validate_config(raw):
     # best_cell key, would overwrite each other
     owner, key_owner = {}, {}
     for i, solver in enumerate(solvers):
-        for label, _name, params in expand_solver_grid(solver):
+        for label, name, params in expand_solver_grid(solver):
             fname = _cell_filename(label, seeds[0], config.emit)
             if fname in owner:
                 _fail(f"solvers[{i}]", f"cell {label!r} writes the same record files as a cell"
                                        f" of solvers[{owner[fname]}]; give them distinct labels")
             owner[fname] = i
             _check_targets(f"solvers[{i}]", solver, params, epsilons)
+            # build the cell so its config's own range checks fail here; a
+            # strongly convex preset needs the built problem's n and mu
+            if not (name == "alexr" and params.get("preset") == "strongly_convex"):
+                try:
+                    make_solver(name, params, seeds[0], None, label=label)
+                except InvalidParameterError as exc:
+                    _fail(f"solvers[{i}]", f"cell {label!r}: {exc}")
         key = solver.get("label", solver["name"])
         if key in key_owner:
             _fail(f"solvers[{i}]", f"best_cell key {key!r} is also that of solvers[{key_owner[key]}]"

@@ -47,11 +47,8 @@ class TwoPointNoise:
         self.low = -float(nu)
         self.high = float(nu) * (1.0 - p) / p
 
-    def transform(self, uniforms):
-        return np.where(uniforms < self.p, self.high, self.low)
-
     def draw(self, rng, size):
-        return self.transform(rng.random(size))
+        return np.where(rng.random(size) < self.p, self.high, self.low)
 
 
 class GaussianNoise:
@@ -114,22 +111,22 @@ class AffineScalarOracle(InnerOracle):
 
 
 class CoordinateNoiseKernel:
-    """Vectorized sampled-block backend for problems whose inners are the n
-    coordinate oracles 0..n-1 with one shared noise law and one shared outer
-    function.  A block-solver step calls `draw` once for all sampled blocks
-    (one uniform draw of shape (S, 2, B), the same stream as the per-block
-    path's value-then-Jacobian batches), `value_noise` once, `values` once at
-    x_t and once more at x_{t-1} when the rule extrapolates or corrects, and
-    `accumulate_grad` once; the solver's block rule then runs elementwise on
-    `shared_outer`.  Every block solver (alexr, sox, msvr, bsgd) reproduces
-    its per-block results bitwise on this path."""
+    """Vectorized sampled-block backend that `ProblemInstance` derives when
+    its inners are the n coordinate oracles 0..n-1 with one shared noise and
+    one shared outer.  A block-solver step calls `draw` once for all sampled
+    blocks (one noise draw of shape (S, 2, B), the same stream as the
+    per-block path's value-then-Jacobian batches), `value_noise` once,
+    `values` once at x_t and once more at x_{t-1} when the rule extrapolates
+    or corrects, and `accumulate_grad` once; the solver's block rule then
+    runs elementwise on `shared_outer`.  Every block solver (alexr, sox,
+    msvr, bsgd) reproduces its per-block results bitwise on this path."""
 
     def __init__(self, noise, shared_outer):
         self.noise = noise
         self.shared_outer = shared_outer
 
     def draw(self, rng, n_blocks, batch_size):
-        return self.noise.transform(rng.random((n_blocks, 2, batch_size)))
+        return self.noise.draw(rng, (n_blocks, 2, batch_size))
 
     def value_noise(self, z):
         """Per-block noise means of the value batches z[:, 0, :]."""
@@ -150,13 +147,16 @@ class CoordinateNoiseKernel:
 @dataclass
 class BuiltProblem:
     """A problem with what is known of its optimum: the minimizer x_star and
-    the optimal value f_star (None where unknown), and the regularizer's
-    strong-convexity modulus mu."""
+    the optimal value f_star (None where unknown)."""
 
     problem: ProblemInstance
     f_star: Optional[float] = None
     x_star: Optional[np.ndarray] = None
-    mu: float = 0.0
+
+    @property
+    def mu(self):
+        """The regularizer's strong-convexity modulus."""
+        return self.problem.regularizer.mu
 
 
 def build_hard_smooth(n, nu, sigma):
@@ -166,16 +166,12 @@ def build_hard_smooth(n, nu, sigma):
     if not 0.0 < nu < 1.0:
         raise InvalidParameterError(f"nu must lie in (0, 1), got {nu}")
     noise = TwoPointNoise(nu, sigma)
-    outer = HuberHard(nu)
-    inners = [CoordinateNoiseOracle(i, noise) for i in range(n)]
-    reg = Regularizer(l2_coeff=1.0 / (2.0 * n))
-    domain = BoxDomain.symmetric(1.0, n)
-    problem = ProblemInstance(
-        n=n, dim=n, outers=[outer] * n, inners=inners, regularizer=reg,
-        domain=domain, kernel=CoordinateNoiseKernel(noise, outer), name="hard_smooth",
-    )
+    problem = ProblemInstance(n=n, dim=n, outers=[HuberHard(nu)] * n,
+                              inners=[CoordinateNoiseOracle(i, noise) for i in range(n)],
+                              regularizer=Regularizer(l2_coeff=1.0 / (2.0 * n)),
+                              domain=BoxDomain.symmetric(1.0, n))
     x_star = np.full(n, -2.0 * nu / 3.0)
-    return BuiltProblem(problem=problem, x_star=x_star, f_star=-nu ** 2 / 3.0, mu=reg.mu)
+    return BuiltProblem(problem=problem, x_star=x_star, f_star=-nu ** 2 / 3.0)
 
 
 def build_hard_nonsmooth(n, nu, beta, alpha_reg, sigma):
@@ -187,21 +183,17 @@ def build_hard_nonsmooth(n, nu, beta, alpha_reg, sigma):
     if alpha_reg < 0:
         raise InvalidParameterError("alpha_reg must be nonnegative")
     noise = TwoPointNoise(nu, sigma)
-    outer = HingeHard(beta, nu)
-    inners = [CoordinateNoiseOracle(i, noise) for i in range(n)]
-    reg = Regularizer(l2_coeff=alpha_reg / n)
-    domain = BoxDomain.symmetric(2.0 * nu, n)
-    problem = ProblemInstance(
-        n=n, dim=n, outers=[outer] * n, inners=inners, regularizer=reg,
-        domain=domain, kernel=CoordinateNoiseKernel(noise, outer), name="hard_nonsmooth",
-    )
+    problem = ProblemInstance(n=n, dim=n, outers=[HingeHard(beta, nu)] * n,
+                              inners=[CoordinateNoiseOracle(i, noise) for i in range(n)],
+                              regularizer=Regularizer(l2_coeff=alpha_reg / n),
+                              domain=BoxDomain.symmetric(2.0 * nu, n))
     if alpha_reg > beta / nu:
         coord = -beta / alpha_reg
     else:
         coord = -nu
     x_star = np.full(n, coord)
     per_component = beta * max(coord, -nu) + 0.5 * alpha_reg * coord ** 2
-    return BuiltProblem(problem=problem, x_star=x_star, f_star=per_component, mu=reg.mu)
+    return BuiltProblem(problem=problem, x_star=x_star, f_star=per_component)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +332,6 @@ def build_gdro(data, divergence="cvar", alpha=None, lam=1.0, weight_decay=0.0,
     return ProblemInstance(
         n=data.n_groups, dim=dim, outers=[outer] * data.n_groups, inners=inners,
         regularizer=reg, domain=domain, flat_view=view, aux_metrics=aux_metrics,
-        name=f"gdro_{divergence}",
     )
 
 
@@ -471,7 +462,7 @@ def build_pauc(data, surrogate="squared_hinge", weight_decay=0.0):
     reg = Regularizer(l2_coeff=l2, linear=linear, mu=0.0)
     return ProblemInstance(
         n=n_pos, dim=dim, outers=[outer] * n_pos, inners=inners,
-        regularizer=reg, domain=BoxDomain.unbounded(dim), name="pauc",
+        regularizer=reg, domain=BoxDomain.unbounded(dim),
     )
 
 
@@ -487,7 +478,7 @@ def build_cvar_scalar(risks, alpha):
     lo, hi = float(risks.min()) - 1.0, float(risks.max()) + 1.0
     problem = ProblemInstance(
         n=n, dim=1, outers=[outer] * n, inners=inners, regularizer=reg,
-        domain=BoxDomain(lo, hi, 1), name="cvar_scalar",
+        domain=BoxDomain(lo, hi, 1),
     )
     # exact minimizer over c: derivative 1 - #{r_i > c}/(alpha*n) crosses zero
     # where exactly alpha*n levels exceed c

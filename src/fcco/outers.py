@@ -34,25 +34,23 @@ INF = math.inf
 class OuterFunction(ABC):
     """Convex scalar outer function with conjugate and dual prox.
 
-    Attributes
-    ----------
-    is_monotone : bool
-        Non-decreasing in its argument (required when composed with a
-        nonlinear inner map).
-    lipschitz : float
-        Bound on |subgradient|; equals the outward radius of the dual
-        interval.  May be ``inf`` for unbounded dual domains.
-    smoothness : float or None
-        Gradient Lipschitz constant; ``None`` marks a non-smooth function.
+    A subclass states its dual interval, which holds every subgradient, in
+    `dual_domain()` and its differentiability in `is_smooth`; `lipschitz`
+    and `is_monotone` are read off the dual interval.
     """
 
-    is_monotone = False
-    lipschitz = INF
-    smoothness = None
+    is_smooth = False
 
     @property
-    def is_smooth(self):
-        return self.smoothness is not None
+    def lipschitz(self):
+        """Bound on |subgradient|, the dual interval's outward radius (or inf)."""
+        lo, hi = self.dual_domain()
+        return max(-lo, hi)
+
+    @property
+    def is_monotone(self):
+        """Non-decreasing, as composing with a nonlinear inner map requires."""
+        return self.dual_domain()[0] >= 0
 
     @abstractmethod
     def value(self, u):
@@ -89,14 +87,11 @@ class ScaledPositivePart(OuterFunction):
     Conjugate is identically 0 on its dual interval [0, 1/alpha].
     """
 
-    is_monotone = True
-
     def __init__(self, alpha):
         if not alpha > 0:
             raise InvalidParameterError(f"alpha must be positive, got {alpha}")
         self.alpha = float(alpha)
         self.cap = 1.0 / self.alpha
-        self.lipschitz = self.cap
 
     def value(self, u):
         return np.maximum(u, 0.0) / self.alpha
@@ -149,7 +144,7 @@ class ChiSquareOuter(OuterFunction):
     its risk bounds.
     """
 
-    is_monotone = True
+    is_smooth = True
 
     def __init__(self, lam, cap):
         if not lam > 0:
@@ -158,8 +153,6 @@ class ChiSquareOuter(OuterFunction):
             raise InvalidParameterError(f"cap must be positive, got {cap}")
         self.lam = float(lam)
         self.cap = float(cap)
-        self.lipschitz = self.cap
-        self.smoothness = self.lam / 2.0
 
     def value(self, u):
         return self.lam * (0.25 * np.maximum(np.asarray(u) + 2.0, 0.0) ** 2 - 1.0)
@@ -198,13 +191,12 @@ class HuberHard(OuterFunction):
     maps.
     """
 
-    smoothness = 1.0
+    is_smooth = True
 
     def __init__(self, nu):
         if not 0 < nu < 1:
             raise InvalidParameterError(f"nu must lie in (0, 1), got {nu}")
         self.nu = float(nu)
-        self.lipschitz = 1.0 + self.nu
 
     def value(self, u):
         nu = self.nu
@@ -256,8 +248,6 @@ class HingeHard(OuterFunction):
     nu*(beta - y) on [0, beta].
     """
 
-    is_monotone = True
-
     def __init__(self, beta, nu):
         if not beta > 0:
             raise InvalidParameterError(f"beta must be positive, got {beta}")
@@ -265,7 +255,6 @@ class HingeHard(OuterFunction):
             raise InvalidParameterError(f"nu must be positive, got {nu}")
         self.beta = float(beta)
         self.nu = float(nu)
-        self.lipschitz = self.beta
 
     def value(self, u):
         return self.beta * np.maximum(np.asarray(u), -self.nu)[()]
@@ -291,9 +280,7 @@ class HingeHard(OuterFunction):
 class Identity(OuterFunction):
     """f(u) = u; degenerate baseline with the single dual point {1}."""
 
-    is_monotone = True
-    smoothness = 0.0
-    lipschitz = 1.0
+    is_smooth = True
 
     def value(self, u):
         return np.asarray(u, dtype=float)[()]
@@ -324,7 +311,7 @@ class HalfSquareShift(OuterFunction):
     inverses everywhere.
     """
 
-    smoothness = 1.0
+    is_smooth = True
 
     def __init__(self, c=0.0):
         self.c = float(c)

@@ -173,13 +173,15 @@ class ProblemInstance:
     and a block-solver step draws all its index batches in one call (see
     the `solvers` module docstring); otherwise it is None.
 
-    `kernel` optionally exposes a vectorized sampled-block backend (see
-    `instances.CoordinateNoiseKernel`); when set, every block solver (alexr,
-    sox, msvr, bsgd) handles all sampled blocks of a step in one call per
-    kernel method instead of one oracle call per block, with the same random
-    stream and results.  `flat_view` optionally exposes the per-sample loss
-    view needed by the SGD baselines; `aux_metrics(x)` optionally reports
-    extra named diagnostics alongside the objective.
+    When each inner i is exactly an `instances.CoordinateNoiseOracle` with
+    index i, all sharing one noise object, and all outers are one object (as
+    in the hard-instance builders), `kernel` is their vectorized backend
+    `instances.CoordinateNoiseKernel`: every block solver (alexr, sox, msvr,
+    bsgd) then handles a step's sampled blocks in one call per kernel method
+    instead of one oracle call per block, with the same random stream and
+    results.  Otherwise it is None.  `flat_view` optionally exposes the
+    per-sample loss view needed by the SGD baselines; `aux_metrics(x)`
+    optionally reports extra named diagnostics alongside the objective.
     """
 
     n: int
@@ -189,9 +191,7 @@ class ProblemInstance:
     regularizer: Regularizer
     domain: BoxDomain
     flat_view: Optional[FlatSampleView] = None
-    kernel: object = None
     aux_metrics: object = None
-    name: str = ""
 
     def __post_init__(self):
         if self.n < 1:
@@ -201,15 +201,20 @@ class ProblemInstance:
         if self.domain.dim != self.dim:
             raise InvalidParameterError("domain dimension does not match primal dimension")
         for i, (f, g) in enumerate(zip(self.outers, self.inners)):
-            if not g.is_affine:
-                lo, _hi = f.dual_domain()
-                if lo < 0:
-                    raise InvalidParameterError(
-                        f"component {i}: nonlinear inner requires a nonnegative dual domain"
-                    )
+            if not (g.is_affine or f.is_monotone):
+                raise InvalidParameterError(
+                    f"component {i}: nonlinear inner requires a nonnegative dual domain"
+                )
         self.population_sizes = None
         if all(isinstance(g, IndexBatchOracle) for g in self.inners):
             self.population_sizes = np.array([g.size for g in self.inners], dtype=np.int64)
+        from .instances import CoordinateNoiseKernel, CoordinateNoiseOracle  # imports this module
+
+        noise, outer = getattr(self.inners[0], "noise", None), self.outers[0]
+        self.kernel = None
+        if all(type(g) is CoordinateNoiseOracle and g.index == i and g.noise is noise
+               and f is outer for i, (g, f) in enumerate(zip(self.inners, self.outers))):
+            self.kernel = CoordinateNoiseKernel(noise, outer)
 
     @property
     def supports_exact(self):

@@ -173,6 +173,8 @@ def convex_preset(S, B, T, epsilon, seed=0, theta=0.0, eta_coeff=1.0,
     tau = tau_coeff/(B*epsilon).  theta=0 suits non-smooth inner noise,
     theta=1 exploits smooth inner maps.  Reports the uniform average."""
     check_preset_epsilon(epsilon)
+    if B < 1:
+        raise InvalidParameterError(f"B must be >= 1, got {B}")
     eta = eta_coeff / epsilon
     tau = tau_coeff / (B * epsilon)
     return AlexrConfig(eta=eta, tau=tau, theta=theta, S=S, B=B, T=T,

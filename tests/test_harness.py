@@ -475,6 +475,55 @@ def test_strongly_convex_preset_names_epsilon(epsilon):
     make_solver("alexr", dict(params, theta=0.5), 1, build_hard_smooth(6, 0.3, 1.0))
 
 
+def _sox(c):
+    c["solvers"][1] = {"name": "sox", "params": {"step": 0.5, "S": 2, "T": 40}}
+    return c["solvers"][1]
+
+
+@pytest.mark.parametrize("edit, at, message", [
+    (lambda c: c["solvers"][0]["params"].update(eta=-1.0), "solvers[0]: cell 'alexr'",
+     "eta and tau must be positive"),
+    (lambda c: c["solvers"][0]["params"].update(tau=0.0), "solvers[0]: cell 'alexr'",
+     "eta and tau must be positive"),
+    (lambda c: c["solvers"][0]["params"].update(theta=1.5), "solvers[0]: cell 'alexr'",
+     "theta must lie in [0, 1]"),
+    (lambda c: c["solvers"][0]["params"].update(S=0), "solvers[0]: cell 'alexr'",
+     "S, B must be >= 1 and T >= 0"),
+    (lambda c: c["solvers"][1]["params"].update(B=0), "solvers[1]: cell 'bsgd'",
+     "S, B must be >= 1 and T >= 0"),
+    (lambda c: _sox(c)["params"].update(gamma=0.0), "solvers[1]: cell 'sox'",
+     "gamma must lie in (0, 1]"),
+    (lambda c: c["solvers"][0]["params"].update(psi_mode="mirror"), "solvers[0]: cell 'alexr'",
+     "unknown psi_mode 'mirror'"),
+    # a grid cell is named by its label, and a convex preset cell is built
+    # too: B=0 used to divide by zero inside the preset
+    (lambda c: c["solvers"][0].update(grid={"eta": [0.5, -1.0]}),
+     "solvers[0]: cell 'alexr[eta=-1.0]'", "eta and tau must be positive"),
+    (lambda c: c["solvers"][0].update(params={"preset": "convex", "B": 0}),
+     "solvers[0]: cell 'alexr'", "B must be >= 1, got 0"),
+    (lambda c: c["solvers"][0].update(params={"preset": "convex", "S": 0}),
+     "solvers[0]: cell 'alexr'", "S, B must be >= 1 and T >= 0"),
+])
+def test_solver_ranges_fail_at_validation(tmp_path, capsys, edit, at, message):
+    # validate builds every cell that needs nothing from the problem, so the
+    # config's own range check names the cell and neither command starts a run
+    path = write_config(tmp_path, edited(edit))
+    for command in ("validate", "run"):
+        assert cli_main(["--out", str(tmp_path / "out"), command, path]) == 1
+        assert capsys.readouterr().err == f"config error: {at}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_strongly_convex_cell_ranges_fail_when_the_experiment_runs(tmp_path, capsys):
+    # the preset needs the built problem's n and mu, and S > n needs its n
+    for params in ({"preset": "strongly_convex", "S": 0, "T": 5},
+                   {"eta": 0.5, "tau": 1.0, "S": 7, "T": 5}):
+        path = write_config(tmp_path, edited(lambda c: c["solvers"][0].update(params=params)))
+        assert cli_main(["--out", str(tmp_path / "out"), "validate", path]) == 0
+        assert cli_main(["--out", str(tmp_path / "out"), "run", path]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+
+
 def test_aggregate_keyed_by_oracle_count(tmp_path):
     config = validate_config(BASE_CONFIG)
     out = tmp_path / "exp"
@@ -609,6 +658,22 @@ def test_cli_libsvm_too_wide_to_densify_exits_cleanly(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert str(data) in err and "2x9223372036854775807" in err
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("1.0,1,a\n2.0,0\n", "line 3: field count differs from the header's"),
+    ("1.0,1,a\n2.0,0,b,c\n", "line 3: field count differs from the header's"),
+    ("1.0,1,a\n2.0,,b\n", "line 3: non-numeric value"),
+    ("1.0,1,a\n2.0,yes,b\n", "line 3: non-numeric value"),
+    ("1.0,1,a\nx,0,b\n", "line 3: non-numeric value"),
+])
+def test_cli_run_rejects_malformed_csv_rows(tmp_path, capsys, rows, message):
+    # a short row would make a group named None and a long one lose a field
+    data = tmp_path / "groups.csv"
+    data.write_text("f0,label,group\n" + rows)
+    config = dict(BASE_CONFIG, problem={"builder": "gdro_csv", "params": {"path": str(data)}})
+    assert cli_main(["--out", str(tmp_path / "out"), "run", write_config(tmp_path, config)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_cli_emit_synthetic_gdro(tmp_path, capsys):

@@ -107,6 +107,32 @@ def test_monotone_functions_have_nonnegative_subgradients(f):
 
 
 @pytest.mark.parametrize("f", ALL, ids=lambda f: type(f).__name__)
+def test_subgradients_lie_in_the_dual_domain(f):
+    # the one declared fact the others derive from: every subgradient lies in
+    # [lo, hi], so |f'| <= lipschitz = max(-lo, hi), and f' >= 0 when
+    # is_monotone (lo >= 0).  ChiSquareOuter's cap is the GDRO problem's bound on
+    # f', which its value holds for u <= 2*cap/lam - 2 (6 here).
+    lo, hi = f.dual_domain()
+    for u in np.linspace(-5, 5, 201):
+        assert lo <= float(f.subgradient(u)) <= hi
+
+
+def test_derived_constants_equal_the_ones_each_class_stated():
+    # the values each class assigned before they were derived from
+    # dual_domain(), bit for bit: dual_radius's worst case reads lipschitz
+    cases = [(ScaledPositivePart(alpha), 1.0 / alpha, True, False)
+             for alpha in (0.5, 0.3, 0.07)]
+    cases += [(PositivePart(), 1.0, True, False),
+              (ChiSquareOuter(1.0, 4.0), 4.0, True, True),
+              (ChiSquareOuter(0.3, 2.7), 2.7, True, True)]
+    cases += [(HuberHard(nu), 1.0 + nu, False, True) for nu in (0.3, 0.45, 0.9, 1e-3)]
+    cases += [(HingeHard(beta, nu), beta, True, False) for beta, nu in ((1.0, 0.2), (2.5, 0.5))]
+    cases += [(Identity(), 1.0, True, True), (HalfSquareShift(0.7), math.inf, False, True)]
+    for f, lipschitz, monotone, smooth in cases:
+        assert (f.lipschitz, f.is_monotone, f.is_smooth) == (lipschitz, monotone, smooth), f
+
+
+@pytest.mark.parametrize("f", ALL, ids=lambda f: type(f).__name__)
 def test_subgradient_supports_function(f):
     rng = np.random.default_rng(3)
     for _ in range(200):

@@ -1,5 +1,6 @@
 """Problem abstraction: exact evaluation, saddle values, sampling, boxes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fcco.datasets import build_synthetic_gdro
 from fcco.errors import (
     DomainViolationError,
     InvalidBatchSizeError,
@@ -14,7 +16,13 @@ from fcco.errors import (
 )
 from fcco.instances import (
     AffineScalarOracle,
+    BuiltProblem,
+    CoordinateNoiseKernel,
+    CoordinateNoiseOracle,
     GaussianNoise,
+    TwoPointNoise,
+    build_gdro,
+    build_hard_nonsmooth,
     build_hard_smooth,
 )
 from fcco.outers import HalfSquareShift, HuberHard, Identity, PositivePart
@@ -281,3 +289,58 @@ def test_instance_validation_rules():
             inners=[AffineScalarOracle(a=[1.0])] * 2,
             regularizer=Regularizer(), domain=BoxDomain.unbounded(1),
         )
+
+
+# --- derived facts ------------------------------------------------------------
+
+
+def test_problem_types_init_fields_are_pinned():
+    # `kernel` and `population_sizes` are derived from the components, and a
+    # built problem's `mu` is its regularizer's, so none of them is an input
+    assert [f.name for f in dataclasses.fields(ProblemInstance) if f.init] == [
+        "n", "dim", "outers", "inners", "regularizer", "domain", "flat_view", "aux_metrics"]
+    assert [f.name for f in dataclasses.fields(BuiltProblem) if f.init] == [
+        "problem", "f_star", "x_star"]
+    built = build_hard_nonsmooth(5, 0.5, 1.0, 2.0, 1.0)
+    assert built.mu == built.problem.regularizer.mu == 2.0 / 5
+
+
+def coordinate_problem(inners, outers):
+    n = len(inners)
+    return ProblemInstance(n=n, dim=n, outers=outers, inners=inners,
+                           regularizer=Regularizer(l2_coeff=0.1),
+                           domain=BoxDomain.symmetric(1.0, n))
+
+
+class SubclassedCoordinateOracle(CoordinateNoiseOracle):
+    """A coordinate oracle whose subclass may sample or evaluate otherwise."""
+
+
+def test_hand_built_coordinate_problem_gets_its_kernel():
+    noise, outer = GaussianNoise(0.5), HuberHard(0.3)
+    kern = coordinate_problem([CoordinateNoiseOracle(i, noise) for i in range(4)],
+                              [outer] * 4).kernel
+    assert type(kern) is CoordinateNoiseKernel
+    assert kern.noise is noise and kern.shared_outer is outer
+    assert build_hard_smooth(3, 0.3, 1.0).problem.kernel is not None
+    gdro = build_gdro(build_synthetic_gdro(3, 2, 5, 0.5, np.random.default_rng(0)), alpha=0.5)
+    assert gdro.kernel is None
+
+
+@pytest.mark.parametrize("mismatch", ["second_noise", "permuted_index", "other_outer",
+                                      "subclass"])
+def test_mismatched_coordinate_problem_has_no_kernel(mismatch):
+    # the kernel would run every block on inner 0's noise and outer 0, so
+    # any component that differs must send the solvers down the per-block path
+    noise, outer = TwoPointNoise(0.3, 1.0), HuberHard(0.3)
+    inners = [CoordinateNoiseOracle(i, noise) for i in range(4)]
+    outers = [outer] * 4
+    if mismatch == "second_noise":  # the same law in a second object
+        inners[3] = CoordinateNoiseOracle(3, TwoPointNoise(0.3, 1.0))
+    elif mismatch == "permuted_index":
+        inners[0], inners[1] = inners[1], inners[0]
+    elif mismatch == "other_outer":  # equal parameters, another object
+        outers = outers[:3] + [HuberHard(0.3)]
+    else:
+        inners[3] = SubclassedCoordinateOracle(3, noise)
+    assert coordinate_problem(inners, outers).kernel is None

@@ -1,5 +1,6 @@
 """Solver steps, reductions between methods, and the run driver."""
 
+import copy
 import dataclasses
 import math
 import warnings
@@ -19,6 +20,7 @@ from fcco.errors import (
 from fcco.datasets import build_synthetic_gdro, build_synthetic_pauc, load_grouped_csv
 from fcco.instances import (
     AffineScalarOracle,
+    CoordinateNoiseOracle,
     GaussianNoise,
     build_gdro,
     build_hard_nonsmooth,
@@ -221,12 +223,32 @@ def test_baseline_oracle_accounting(variant):
     assert rec.rows[-1].oracle_count == 2 * 4 * 3 * 5
 
 
-def _assert_paths_agree(inst, smooth, T, S, B, seed, thetas):
+def per_block(problem):
+    """A copy of `problem` that takes the per-block path and draws each
+    block's batches through its oracle's `sample_batch`, as a problem with
+    neither a kernel nor population sizes does."""
+    out = copy.copy(problem)
+    out.kernel = None
+    out.population_sizes = None
+    return out
+
+
+def gaussian_coordinate_problem(n, sigma=0.7):
+    """Coordinate inners sharing one Gaussian noise object and one outer."""
+    noise, outer = GaussianNoise(sigma), HuberHard(0.3)
+    return ProblemInstance(n=n, dim=n, outers=[outer] * n,
+                           inners=[CoordinateNoiseOracle(i, noise) for i in range(n)],
+                           regularizer=Regularizer(l2_coeff=0.1),
+                           domain=BoxDomain.symmetric(1.0, n))
+
+
+def _assert_paths_agree(problem, smooth, T, S, B, seed, thetas):
     """T steps of every block solver init_state builds, on the kernel path
-    and on a kernel-less copy of the problem, must agree bitwise; ALEXR runs
-    at each theta, in conjugate mode too when the outers are smooth."""
-    problem = inst.problem
-    generic = dataclasses.replace(problem, kernel=None)
+    and on the per-block path, must agree bitwise, generator state included;
+    ALEXR runs at each theta, in conjugate mode too when the outers are
+    smooth."""
+    assert problem.kernel is not None
+    generic = per_block(problem)
     modes = ("quadratic", "conjugate") if smooth else ("quadratic",)
     cases = [(AlexrConfig(eta=0.1, tau=0.8, theta=theta, S=S, B=B, T=T, psi_mode=mode,
                           seed=seed), alexr_step) for mode in modes for theta in thetas]
@@ -245,6 +267,7 @@ def _assert_paths_agree(inst, smooth, T, S, B, seed, thetas):
         if s_slow.table is not None:
             assert np.array_equal(s_fast.table, s_slow.table), cfg
         assert s_fast.oracle_count == s_slow.oracle_count == T * 2 * S * B
+        assert s_fast.rng.bit_generator.state == s_slow.rng.bit_generator.state, cfg
 
 
 def test_kernel_and_generic_paths_agree():
@@ -252,7 +275,8 @@ def test_kernel_and_generic_paths_agree():
     # every block solver: same random stream, same elementwise arithmetic
     for inst, smooth in ((build_hard_smooth(12, 0.3, 1.0), True),
                          (build_hard_nonsmooth(12, 0.5, 1.0, 1.0, 1.0), False)):
-        _assert_paths_agree(inst, smooth, T=50, S=4, B=2, seed=11, thetas=(0.0, 0.5, 1.0))
+        _assert_paths_agree(inst.problem, smooth, T=50, S=4, B=2, seed=11,
+                            thetas=(0.0, 0.5, 1.0))
 
 
 @settings(max_examples=120, deadline=None)
@@ -260,18 +284,11 @@ def test_kernel_and_generic_paths_agree():
        theta=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
 def test_kernel_and_generic_paths_agree_on_generated_shapes(n, data, B, theta, seed):
     S = data.draw(st.integers(1, n), label="S")
-    for inst, smooth in ((build_hard_smooth(n, 0.3, 1.0), True),
-                         (build_hard_nonsmooth(n, 0.5, 1.0, 1.0, 1.0), False)):
-        _assert_paths_agree(inst, smooth, T=20, S=S, B=B, seed=seed, thetas=(theta,))
-
-
-class PerBlockDrawProblem(ProblemInstance):
-    """A problem that draws each block's batches through its oracle's
-    `sample_batch`, as every problem without `population_sizes` does."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        self.population_sizes = None
+    # the kernel draws through the noise object, so any noise law takes it
+    for problem, smooth in ((build_hard_smooth(n, 0.3, 1.0).problem, True),
+                            (build_hard_nonsmooth(n, 0.5, 1.0, 1.0, 1.0).problem, False),
+                            (gaussian_coordinate_problem(n), True)):
+        _assert_paths_agree(problem, smooth, T=20, S=S, B=B, seed=seed, thetas=(theta,))
 
 
 def _unequal_gdro_csv():
@@ -300,8 +317,7 @@ def test_one_draw_per_step_equals_per_oracle_draws(family, B):
         problem = build_gdro(_unequal_gdro_csv(), divergence="cvar", alpha=0.5)
         assert problem.population_sizes.tolist() == [3, 11, 40, 7]
     assert problem.population_sizes is not None
-    per_block = PerBlockDrawProblem(**{f.name: getattr(problem, f.name)
-                                       for f in dataclasses.fields(problem)})
+    each = per_block(problem)
     S, T = 3, 25
     cases = [(AlexrConfig(eta=10.0, tau=1.0, theta=theta, S=S, B=B, T=T, seed=5), alexr_step)
              for theta in (0.0, 1.0)]
@@ -310,10 +326,10 @@ def test_one_draw_per_step_equals_per_oracle_draws(family, B):
               for variant, step in (("sox", sox_step), ("msvr", msvr_step), ("bsgd", bsgd_step))]
     for cfg, step in cases:
         s_one = init_state(cfg, problem)
-        s_each = init_state(cfg, per_block)
+        s_each = init_state(cfg, each)
         for _ in range(T):
             step(s_one, cfg, problem)
-            step(s_each, cfg, per_block)
+            step(s_each, cfg, each)
         assert np.array_equal(s_one.x, s_each.x), cfg
         assert np.array_equal(s_one.x_prev, s_each.x_prev), cfg
         if s_each.table is None:
