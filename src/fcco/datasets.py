@@ -12,7 +12,6 @@ from itertools import repeat
 from typing import List
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DataError, InvalidParameterError, LibsvmParseError
 
@@ -138,6 +137,7 @@ def parse_libsvm(stream):
     if bad.size:
         row = int(np.searchsorted(indptr, bad[0], side="right")) - 1
         raise LibsvmParseError(row_lines[row], f"non-finite value at index {indices[bad[0]]}")
+    import scipy.sparse as sp  # here, not at the top, so that `import fcco` stays numpy-only
     mat = sp.csr_matrix(
         (data, np.asarray(indices, dtype=int) - 1, indptr),
         shape=(len(labels), max_index),
@@ -147,6 +147,7 @@ def parse_libsvm(stream):
 
 def dump_libsvm(features, labels, stream):
     """Serialize rows in the same sparse text format (17-digit floats)."""
+    import scipy.sparse as sp
     mat = sp.csr_matrix(features)
     indptr = mat.indptr.tolist()
     indices = mat.indices.tolist()

@@ -130,7 +130,8 @@ class CoordinateNoiseKernel:
 
     def value_noise(self, z):
         """Per-block noise means of the value batches z[:, 0, :]."""
-        return z[:, 0, :].mean(axis=1)
+        # the sum-then-divide that ndarray.mean does on float64, without its dispatch
+        return np.add.reduce(z[:, 0, :], axis=1) / z.shape[2]
 
     def values(self, x, idx, value_noise):
         return x[idx] + value_noise

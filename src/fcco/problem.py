@@ -167,6 +167,9 @@ class ProblemInstance:
     tracked inner values u_i for conjugate ALEXR, sox and msvr; component i
     of the table is only touched when block i is sampled.
 
+    `supports_exact` says whether every inner has exact evaluation, which
+    `evaluate_objective` needs.
+
     When every inner is an `IndexBatchOracle` (as in the GDRO and pAUC
     builders; a custom oracle over a finite sample set may subclass it and
     set `size`), `population_sizes` holds each component's population size,
@@ -205,6 +208,7 @@ class ProblemInstance:
                 raise InvalidParameterError(
                     f"component {i}: nonlinear inner requires a nonnegative dual domain"
                 )
+        self.supports_exact = all(g.supports_exact for g in self.inners)
         self.population_sizes = None
         if all(isinstance(g, IndexBatchOracle) for g in self.inners):
             self.population_sizes = np.array([g.size for g in self.inners], dtype=np.int64)
@@ -215,10 +219,6 @@ class ProblemInstance:
         if all(type(g) is CoordinateNoiseOracle and g.index == i and g.noise is noise
                and f is outer for i, (g, f) in enumerate(zip(self.inners, self.outers))):
             self.kernel = CoordinateNoiseKernel(noise, outer)
-
-    @property
-    def supports_exact(self):
-        return all(g.supports_exact for g in self.inners)
 
     def initial_point(self):
         return self.domain.project(np.zeros(self.dim))

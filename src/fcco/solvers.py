@@ -111,8 +111,9 @@ class BaselineConfig:
     """Configuration for bsgd / sox / msvr / sgd_erm / sgd_uw.
 
     `step` is the proximal coefficient of the primal step (same role as
-    `eta` above); `gamma` is the moving-average weight of sox/msvr.  With
-    `subgradient_fallback` off, sox refuses non-smooth outer functions.
+    `eta` above); `gamma` is the moving-average weight of sox/msvr (msvr
+    needs gamma < 1).  With `subgradient_fallback` off, sox refuses
+    non-smooth outer functions.
     """
 
     variant: str
@@ -133,6 +134,8 @@ class BaselineConfig:
             raise InvalidParameterError("step must be positive")
         if not 0.0 < self.gamma <= 1.0:
             raise InvalidParameterError("gamma must lie in (0, 1]")
+        if self.variant == "msvr" and self.gamma >= 1.0:
+            raise InvalidParameterError("msvr needs gamma < 1: its correction degenerates at gamma=1")
         if self.S < 1 or self.B < 1 or self.T < 0:
             raise InvalidParameterError("S, B must be >= 1 and T >= 0")
         if not self.label:

@@ -43,12 +43,18 @@ def test_readme_imports_resolve():
 
 
 def test_import_loads_every_layer():
-    # a fresh interpreter, so modules other tests imported do not count
-    code = ("import sys, fcco; "
-            "print(' '.join(m for m in sys.modules if m.startswith('fcco.')))")
+    # a fresh interpreter, so modules other tests imported do not count;
+    # scipy loads only when a LIBSVM file is first read or written
+    code = ("import sys, fcco, fcco.cli; "
+            "print(' '.join(m for m in sys.modules if m.startswith('fcco.'))); "
+            "print('scipy' in sys.modules); "
+            "fcco.datasets.parse_libsvm('1 1:0.5\\n'); "
+            "print('scipy' in sys.modules)")
     src = str(pathlib.Path(fcco.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True).stdout.split()
+    modules, before, after = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True,
+    ).stdout.splitlines()
     for layer in LOADED_MODULES:
-        assert f"fcco.{layer}" in out
+        assert f"fcco.{layer}" in modules.split()
+    assert (before, after) == ("False", "True")

@@ -475,8 +475,8 @@ def test_strongly_convex_preset_names_epsilon(epsilon):
     make_solver("alexr", dict(params, theta=0.5), 1, build_hard_smooth(6, 0.3, 1.0))
 
 
-def _sox(c):
-    c["solvers"][1] = {"name": "sox", "params": {"step": 0.5, "S": 2, "T": 40}}
+def _baseline(c, name):
+    c["solvers"][1] = {"name": name, "params": {"step": 0.5, "S": 2, "T": 40}}
     return c["solvers"][1]
 
 
@@ -491,7 +491,7 @@ def _sox(c):
      "S, B must be >= 1 and T >= 0"),
     (lambda c: c["solvers"][1]["params"].update(B=0), "solvers[1]: cell 'bsgd'",
      "S, B must be >= 1 and T >= 0"),
-    (lambda c: _sox(c)["params"].update(gamma=0.0), "solvers[1]: cell 'sox'",
+    (lambda c: _baseline(c, "sox")["params"].update(gamma=0.0), "solvers[1]: cell 'sox'",
      "gamma must lie in (0, 1]"),
     (lambda c: c["solvers"][0]["params"].update(psi_mode="mirror"), "solvers[0]: cell 'alexr'",
      "unknown psi_mode 'mirror'"),
@@ -503,6 +503,9 @@ def _sox(c):
      "solvers[0]: cell 'alexr'", "B must be >= 1, got 0"),
     (lambda c: c["solvers"][0].update(params={"preset": "convex", "S": 0}),
      "solvers[0]: cell 'alexr'", "S, B must be >= 1 and T >= 0"),
+    # msvr's staleness correction divides by 1 - gamma
+    (lambda c: _baseline(c, "msvr")["params"].update(gamma=1.0), "solvers[1]: cell 'msvr'",
+     "msvr needs gamma < 1: its correction degenerates at gamma=1"),
 ])
 def test_solver_ranges_fail_at_validation(tmp_path, capsys, edit, at, message):
     # validate builds every cell that needs nothing from the problem, so the

@@ -369,8 +369,15 @@ def test_scaled_positive_part_prox_float_path_equals_array_path(alpha, y, g, tau
     y = np.float64(y) if as_numpy else y
     with np.errstate(all="ignore"):
         got = f.prox_dual_quadratic(y, g, tau)
-        expected = np.minimum(f.cap, np.maximum(0.0, np.array([y + g / tau])))[0]
-    assert same_float64(got, expected)
+        v = y + g / tau
+        expected = np.minimum(f.cap, np.maximum(0.0, np.array([v])))[0]
+    if math.isnan(v):
+        # a sum of two NaNs may carry the sign and payload of either, and two
+        # evaluations of the same float add (CPython specializes one of them)
+        # need not pick the same one, so any NaN matches
+        assert type(got) is np.float64 and math.isnan(got)
+    else:
+        assert same_float64(got, expected)
 
 
 @pytest.mark.parametrize("v", SPECIAL + ZERO_EDGES + [2.0, 2.5, float(np.nextafter(2.0, 3.0))])
