@@ -283,7 +283,10 @@ def build_gdro(data, divergence="cvar", alpha=None, lam=1.0, weight_decay=0.0,
     (R_i(w) - c)/lam (any lam yields the same objective; lam=1 gives the
     plain hinge form) and c in [0, risk_bound].  divergence='chi2' uses the
     quadratic penalty transform with parameter lam, c in [-lam, risk_bound]
-    and a dual cap derived from `risk_bound` and that interval.  The '+c'
+    and the dual cap (risk_bound + 3*lam)/2: the outer's gradient lam*(u + 2)/2
+    at the largest inner value (risk_bound + lam)/lam that group risks in
+    [0, risk_bound] and c >= -lam reach, so every solver sees the same
+    quadratic outer on the reachable inner values.  The '+c'
     term rides on the regularizer's linear part; weight decay applies to w
     only.  The `worst_group_risk` diagnostic averages the worst
     ceil(alpha*n) groups under cvar and the worst half under chi2.
@@ -303,7 +306,7 @@ def build_gdro(data, divergence="cvar", alpha=None, lam=1.0, weight_decay=0.0,
     elif divergence == "chi2":
         lo, hi = -lam, risk_bound
         worst_share = CHI2_WORST_SHARE
-        cap = max(risk_bound - lo, risk_bound + hi) / 2.0
+        cap = (risk_bound - lo) / 2.0 + lam
         outer = ChiSquareOuter(lam, cap)
     else:
         raise InvalidParameterError(f"unknown divergence {divergence!r}")

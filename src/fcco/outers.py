@@ -1,28 +1,34 @@
-"""Outer function library: values, subgradients, conjugates, and dual proximal steps.
+"""Outer function library: each outer is declared by its conjugate.
 
-Every function here is convex with a closed dual interval on which its
-conjugate is finite.  The dual proximal step
+An outer f is given by five numbers: f*(y) = a/2*y**2 + b*y + c on the closed
+dual interval [lo, hi] (a >= 0; +inf outside), and f is its biconjugate
+max_{y in [lo, hi]} {y*u - f*(y)}.  `OuterFunction` derives every method from
+them, so the solvers and the evaluator all see one function: the subgradient
+is the maximizer y*(u) = clip((u - b)/a, lo, hi) (for a = 0: hi above the kink
+u = b, lo below it, the midpoint at it), also the gradient where f is smooth
+(a > 0 or lo == hi); `value` is y*·(u - b) - a/2·y*² - c; and the dual prox
 
     argmax_{v in [lo, hi]} { v*g - f*(v) - (tau/2) * (v - y)**2 }
 
-has a closed form for each shipped function because every conjugate is at
-most quadratic on its domain.  All value/derivative methods accept floats or
-numpy arrays and broadcast elementwise.  `HuberHard.value` computes a float
-argument in scalar arithmetic, with the same result as its array path, bit
-for bit; exact evaluation calls it once per component.  So do
-`ScaledPositivePart.subgradient` and `prox_dual_quadratic`, which the
-per-block solver path calls once per sampled block; both return the array
-path's `np.float64`.
+is clip((g - b + tau*y)/(a + tau)), written clip(y + (g - b)/tau) when a = 0.
+A subclass may give a closed-form `value`; the Fenchel-Young test holds it to
+the declared conjugate at 1e-12 relative.  `value` and `prox_dual_quadratic`
+map a NaN to NaN; a kinked subgradient takes the midpoint there, as np.where.
 
-Clamps onto scalar bounds are written np.minimum(hi, np.maximum(lo, v)): in
-that operand order they return what np.clip returns, signed zeros included,
-at about half its cost.
+All methods broadcast over numpy arrays.  A float argument (Python float or
+`np.float64`) is clamped in scalar arithmetic and returned as `np.float64`,
+equal to the array path bit for bit: the per-block solver path calls the
+subgradient and the prox once per sampled block.  `HuberHard.value` likewise
+computes a float in scalar arithmetic; exact evaluation calls it once per
+component.  Clamps are written np.minimum(hi, np.maximum(lo, v)): in that
+operand order they return what np.clip returns, signed zeros included, at
+about half its cost.
 """
 
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
+from functools import partial
 
 import numpy as np
 
@@ -31,120 +37,118 @@ from .errors import InvalidParameterError, NotSmoothError
 INF = math.inf
 
 
-class OuterFunction(ABC):
-    """Convex scalar outer function with conjugate and dual prox.
+class OuterFunction:
+    """Convex scalar outer function declared by its conjugate
+    f*(y) = a/2*y**2 + b*y + c on [lo, hi] (see the module docstring)."""
 
-    A subclass states its dual interval, which holds every subgradient, in
-    `dual_domain()` and its differentiability in `is_smooth`; `lipschitz`
-    and `is_monotone` are read off the dual interval.
-    """
-
-    is_smooth = False
+    def __init__(self, lo, hi, a=0.0, b=0.0, c=0.0):
+        lo, hi, a, b, c = float(lo), float(hi), float(a), float(b), float(c)
+        if not (a >= 0.0 and lo <= hi and lo < INF and hi > -INF):
+            raise InvalidParameterError(f"need a >= 0 and lo <= hi, got a={a}, [{lo}, {hi}]")
+        if a == 0.0 and not (math.isfinite(lo) and math.isfinite(hi)):
+            raise InvalidParameterError("a linear conjugate needs a bounded dual interval")
+        self.lo, self.hi, self.a, self.b, self.c = lo, hi, a, b, c
+        self.is_smooth = a > 0.0 or lo == hi
+        self._half_a = 0.5 * a
+        self._mid = 0.5 * (lo + hi)
 
     @property
     def lipschitz(self):
         """Bound on |subgradient|, the dual interval's outward radius (or inf)."""
-        lo, hi = self.dual_domain()
-        return max(-lo, hi)
+        return max(-self.lo, self.hi)
 
     @property
     def is_monotone(self):
         """Non-decreasing, as composing with a nonlinear inner map requires."""
-        return self.dual_domain()[0] >= 0
+        return self.lo >= 0
 
-    @abstractmethod
-    def value(self, u):
-        """f(u)."""
-
-    @abstractmethod
-    def subgradient(self, u):
-        """An element of the subdifferential; midpoint convention at kinks."""
-
-    @abstractmethod
-    def conjugate_value(self, y):
-        """f*(y) = sup_u { y*u - f(u) }; +inf outside the dual interval."""
-
-    @abstractmethod
     def dual_domain(self):
         """Closed interval (lo, hi) on which the conjugate is finite."""
+        return (self.lo, self.hi)
 
-    @abstractmethod
-    def prox_dual_quadratic(self, y_prev, g_tilde, tau):
-        """argmax_{v in dual domain} { v*g - f*(v) - (tau/2)(v - y_prev)^2 }."""
+    def _clip(self, v):
+        if isinstance(v, float):
+            # np.maximum(a, b) is a if a > b (or a is NaN) else b, and
+            # np.minimum(a, b) is a if a < b (or a is NaN) else b: a NaN v
+            # passes through and maximum(0.0, -0.0) is -0.0
+            if self.lo > v:
+                v = self.lo
+            if self.hi < v:
+                v = self.hi
+            return np.float64(v)
+        return np.minimum(self.hi, np.maximum(self.lo, v))
+
+    def subgradient(self, u):
+        """y*(u), the maximizer defining f(u); the midpoint at a kink."""
+        if not isinstance(u, float):
+            u = np.asarray(u)
+        if self.a > 0.0:
+            return self._clip((u - self.b) / self.a)
+        b = self.b
+        if isinstance(u, float):
+            # NaN and u == b fall through both tests, as in np.where
+            return np.float64(self.hi if u > b else self.lo if u < b else self._mid)
+        return np.where(u > b, self.hi, np.where(u < b, self.lo, self._mid))[()]
 
     def grad(self, u):
         """Gradient of f; only defined for smooth functions."""
-        raise NotSmoothError(f"{type(self).__name__} is not smooth")
+        if not self.is_smooth:
+            raise NotSmoothError(f"{self!r} is not smooth")
+        return self.subgradient(u)
+
+    def value(self, u):
+        """f(u) = y*·(u - b) - a/2·y*² - c at y* = y*(u)."""
+        if not isinstance(u, float):
+            u = np.asarray(u, dtype=float)
+        y = self.subgradient(u)
+        return y * (u - self.b) - self._half_a * y * y - self.c
+
+    def conjugate_value(self, y):
+        """f*(y); +inf outside the dual interval."""
+        y = np.asarray(y, dtype=float)
+        val = (self._half_a * y + self.b) * y + self.c
+        return np.where((y >= self.lo) & (y <= self.hi), val, INF)[()]
 
     def conjugate_grad(self, y):
-        """Gradient of the conjugate; inverse of `grad` where strictly convex."""
-        raise NotSmoothError(f"{type(self).__name__} has no differentiable conjugate")
+        """a*y + b, the inverse of `grad` where f is strictly convex."""
+        if self.a == 0.0:
+            raise NotSmoothError(f"{self!r} has no differentiable conjugate")
+        return self.a * np.asarray(y, dtype=float)[()] + self.b
+
+    def prox_dual_quadratic(self, y_prev, g_tilde, tau):
+        """argmax_{v in dual domain} { v*g - f*(v) - (tau/2)(v - y_prev)^2 }."""
+        if self.a == 0.0:
+            return self._clip(y_prev + (g_tilde - self.b) / tau)
+        return self._clip((g_tilde - self.b + tau * y_prev) / (self.a + tau))
+
+    def __repr__(self):
+        return f"OuterFunction(lo={self.lo}, hi={self.hi}, a={self.a}, b={self.b}, c={self.c})"
 
 
 class ScaledPositivePart(OuterFunction):
-    """f(u) = (u)_+ / alpha, the capped-hinge transform.
-
-    Conjugate is identically 0 on its dual interval [0, 1/alpha].
-    """
+    """f(u) = (u)_+ / alpha, the capped-hinge transform: f* = 0 on [0, 1/alpha]."""
 
     def __init__(self, alpha):
         if not alpha > 0:
             raise InvalidParameterError(f"alpha must be positive, got {alpha}")
         self.alpha = float(alpha)
         self.cap = 1.0 / self.alpha
+        super().__init__(0.0, self.cap)
 
     def value(self, u):
         return np.maximum(u, 0.0) / self.alpha
-
-    def subgradient(self, u):
-        if isinstance(u, float):
-            # NaN and +-0.0 fall through both tests, as in np.where
-            return np.float64(self.cap if u > 0 else 0.0 if u < 0 else 0.5 * self.cap)
-        return np.where(np.asarray(u) > 0, self.cap, np.where(np.asarray(u) < 0, 0.0, 0.5 * self.cap))[()]
-
-    def conjugate_value(self, y):
-        return np.where((np.asarray(y) >= 0) & (np.asarray(y) <= self.cap), 0.0, INF)[()]
-
-    def dual_domain(self):
-        return (0.0, self.cap)
-
-    def prox_dual_quadratic(self, y_prev, g_tilde, tau):
-        v = y_prev + g_tilde / tau
-        if isinstance(v, float):
-            # np.maximum(a, b) is a if a > b (or a is NaN) else b, and
-            # np.minimum(a, b) is a if a < b (or a is NaN) else b: a NaN v
-            # passes through and maximum(0.0, -0.0) is -0.0
-            if 0.0 > v:
-                v = 0.0
-            if self.cap < v:
-                v = self.cap
-            return np.float64(v)
-        return np.minimum(self.cap, np.maximum(0.0, v))
 
     def __repr__(self):
         return f"ScaledPositivePart(alpha={self.alpha})"
 
 
-class PositivePart(ScaledPositivePart):
-    """f(u) = (u)_+ with dual interval [0, 1]."""
-
-    def __init__(self):
-        super().__init__(1.0)
-
-    def __repr__(self):
-        return "PositivePart()"
-
-
 class ChiSquareOuter(OuterFunction):
-    """f(u) = lam * ((u + 2)_+^2 / 4 - 1), the chi-square penalty transform.
+    """The chi-square penalty transform: f*(y) = y^2/lam - 2y + lam on [0, cap].
 
-    Direct conjugation gives f*(y) = y^2/lam - 2y + lam = lam*(y/lam - 1)^2
-    for y >= 0 (validated against the grid oracle in the test suite).  The
-    dual interval is capped at `cap`, supplied by the problem builder from
-    its risk bounds.
+    f(u) = lam * ((u + 2)^2 / 4 - 1) for -2 <= u <= 2*cap/lam - 2, -lam below
+    and linear with slope `cap` above: the cap, which the problem builder
+    derives from its risk bounds, is the largest gradient the solvers see.
     """
-
-    is_smooth = True
 
     def __init__(self, lam, cap):
         if not lam > 0:
@@ -153,29 +157,7 @@ class ChiSquareOuter(OuterFunction):
             raise InvalidParameterError(f"cap must be positive, got {cap}")
         self.lam = float(lam)
         self.cap = float(cap)
-
-    def value(self, u):
-        return self.lam * (0.25 * np.maximum(np.asarray(u) + 2.0, 0.0) ** 2 - 1.0)
-
-    def grad(self, u):
-        return self.lam * np.maximum(np.asarray(u) + 2.0, 0.0) / 2.0
-
-    def subgradient(self, u):
-        return self.grad(u)
-
-    def conjugate_value(self, y):
-        y = np.asarray(y)
-        val = y ** 2 / self.lam - 2.0 * y + self.lam
-        return np.where((y >= 0) & (y <= self.cap), val, INF)[()]
-
-    def conjugate_grad(self, y):
-        return 2.0 * np.asarray(y) / self.lam - 2.0
-
-    def dual_domain(self):
-        return (0.0, self.cap)
-
-    def prox_dual_quadratic(self, y_prev, g_tilde, tau):
-        return np.minimum(self.cap, np.maximum(0.0, (g_tilde + 2.0 + tau * y_prev) / (2.0 / self.lam + tau)))
+        super().__init__(0.0, self.cap, 2.0 / self.lam, -2.0, self.lam)
 
     def __repr__(self):
         return f"ChiSquareOuter(lam={self.lam}, cap={self.cap})"
@@ -191,12 +173,11 @@ class HuberHard(OuterFunction):
     maps.
     """
 
-    is_smooth = True
-
     def __init__(self, nu):
         if not 0 < nu < 1:
             raise InvalidParameterError(f"nu must lie in (0, 1), got {nu}")
         self.nu = float(nu)
+        super().__init__(self.nu - 1.0, self.nu + 1.0, 1.0, -self.nu, 0.5 * self.nu * self.nu)
 
     def value(self, u):
         nu = self.nu
@@ -217,36 +198,13 @@ class HuberHard(OuterFunction):
         hi = (1.0 + nu) * u + 0.5 * (1.0 + nu) ** 2 - 1.0 - nu - 0.5 * nu ** 2
         return np.where(u < -1.0, lo, np.where(u > 1.0, hi, mid))[()]
 
-    def grad(self, u):
-        return np.minimum(self.nu + 1.0, np.maximum(self.nu - 1.0, np.asarray(u) + self.nu))[()]
-
-    def subgradient(self, u):
-        return self.grad(u)
-
-    def conjugate_value(self, y):
-        y = np.asarray(y)
-        val = 0.5 * (y - self.nu) ** 2
-        return np.where((y >= self.nu - 1.0) & (y <= self.nu + 1.0), val, INF)[()]
-
-    def conjugate_grad(self, y):
-        return np.asarray(y) - self.nu
-
-    def dual_domain(self):
-        return (self.nu - 1.0, self.nu + 1.0)
-
-    def prox_dual_quadratic(self, y_prev, g_tilde, tau):
-        return np.minimum(self.nu + 1.0, np.maximum(self.nu - 1.0, (g_tilde + self.nu + tau * y_prev) / (1.0 + tau)))
-
     def __repr__(self):
         return f"HuberHard(nu={self.nu})"
 
 
 class HingeHard(OuterFunction):
-    """f(u) = beta * max(u, -nu), the non-smooth hard-instance transform.
-
-    Equals max_{y in [0, beta]} { y*u - nu*(beta - y) }, so the conjugate is
-    nu*(beta - y) on [0, beta].
-    """
+    """f(u) = beta * max(u, -nu), the non-smooth hard-instance transform:
+    f*(y) = nu*(beta - y) on [0, beta]."""
 
     def __init__(self, beta, nu):
         if not beta > 0:
@@ -255,91 +213,24 @@ class HingeHard(OuterFunction):
             raise InvalidParameterError(f"nu must be positive, got {nu}")
         self.beta = float(beta)
         self.nu = float(nu)
+        super().__init__(0.0, self.beta, 0.0, -self.nu, self.nu * self.beta)
 
     def value(self, u):
         return self.beta * np.maximum(np.asarray(u), -self.nu)[()]
-
-    def subgradient(self, u):
-        u = np.asarray(u)
-        return np.where(u > -self.nu, self.beta, np.where(u < -self.nu, 0.0, 0.5 * self.beta))[()]
-
-    def conjugate_value(self, y):
-        y = np.asarray(y)
-        return np.where((y >= 0) & (y <= self.beta), self.nu * (self.beta - y), INF)[()]
-
-    def dual_domain(self):
-        return (0.0, self.beta)
-
-    def prox_dual_quadratic(self, y_prev, g_tilde, tau):
-        return np.minimum(self.beta, np.maximum(0.0, y_prev + (g_tilde + self.nu) / tau))
 
     def __repr__(self):
         return f"HingeHard(beta={self.beta}, nu={self.nu})"
 
 
-class Identity(OuterFunction):
-    """f(u) = u; degenerate baseline with the single dual point {1}."""
-
-    is_smooth = True
-
-    def value(self, u):
-        return np.asarray(u, dtype=float)[()]
-
-    def grad(self, u):
-        return np.ones_like(np.asarray(u, dtype=float))[()]
-
-    def subgradient(self, u):
-        return self.grad(u)
-
-    def conjugate_value(self, y):
-        return np.where(np.asarray(y) == 1.0, 0.0, INF)[()]
-
-    def dual_domain(self):
-        return (1.0, 1.0)
-
-    def prox_dual_quadratic(self, y_prev, g_tilde, tau):
-        return np.ones_like(np.asarray(y_prev, dtype=float))[()]
-
-    def __repr__(self):
-        return "Identity()"
+# f(u) = (u)_+, dual interval [0, 1]
+PositivePart = partial(ScaledPositivePart, 1.0)
+# f(u) = u, the single dual point {1}
+Identity = partial(OuterFunction, 1.0, 1.0)
 
 
-class HalfSquareShift(OuterFunction):
-    """f(u) = (u + c)^2 / 2, a Legendre exemplar with unbounded dual domain.
-
-    Conjugate is y^2/2 - c*y on all of R; grad and conjugate_grad are exact
-    inverses everywhere.
-    """
-
-    is_smooth = True
-
-    def __init__(self, c=0.0):
-        self.c = float(c)
-
-    def value(self, u):
-        return 0.5 * (np.asarray(u, dtype=float) + self.c) ** 2
-
-    def grad(self, u):
-        return np.asarray(u, dtype=float) + self.c
-
-    def subgradient(self, u):
-        return self.grad(u)
-
-    def conjugate_value(self, y):
-        y = np.asarray(y, dtype=float)
-        return (0.5 * y ** 2 - self.c * y)[()]
-
-    def conjugate_grad(self, y):
-        return np.asarray(y, dtype=float) - self.c
-
-    def dual_domain(self):
-        return (-INF, INF)
-
-    def prox_dual_quadratic(self, y_prev, g_tilde, tau):
-        return (g_tilde + self.c + tau * y_prev) / (1.0 + tau)
-
-    def __repr__(self):
-        return f"HalfSquareShift(c={self.c})"
+def HalfSquareShift(c=0.0):
+    """f(u) = (u + c)^2 / 2, a Legendre exemplar: f*(y) = y^2/2 - c*y on all of R."""
+    return OuterFunction(-INF, INF, 1.0, -c)
 
 
 def grid_prox_oracle(f, y_prev, g_tilde, tau, grid_size, bounds=None):
@@ -371,13 +262,14 @@ def grid_conjugate_oracle(f, y, u_lo, u_hi, grid_size=100_000):
 
 
 SHIPPED_OUTER_FACTORIES = {
-    "scaled_positive_part": lambda: ScaledPositivePart(0.5),
-    "positive_part": lambda: PositivePart(),
-    "chi_square": lambda: ChiSquareOuter(1.0, 4.0),
-    "huber_hard": lambda: HuberHard(0.3),
-    "hinge_hard": lambda: HingeHard(1.0, 0.2),
-    "identity": lambda: Identity(),
-    "half_square_shift": lambda: HalfSquareShift(0.7),
+    "ScaledPositivePart": lambda: ScaledPositivePart(0.5),
+    "PositivePart": PositivePart,
+    "ChiSquareOuter": lambda: ChiSquareOuter(1.0, 4.0),
+    "HuberHard": lambda: HuberHard(0.3),
+    "HingeHard": lambda: HingeHard(1.0, 0.2),
+    "Identity": Identity,
+    "HalfSquareShift": lambda: HalfSquareShift(0.7),
 }
-"""Representative instances of every shipped outer function, used by the
-property sweeps in the test suite."""
+"""Representative instances of every shipped outer function, keyed by the
+constructor that builds them, used by the property sweeps in the test
+suite."""

@@ -322,7 +322,7 @@ def _outer_slope(f, u, allow_subgradient):
     if f.is_smooth:
         return f.grad(u)
     if not allow_subgradient:
-        raise NotSmoothError(f"{type(f).__name__} is not smooth; enable subgradient_fallback")
+        raise NotSmoothError(f"{f!r} is not smooth; enable subgradient_fallback")
     return f.subgradient(u)
 
 

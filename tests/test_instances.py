@@ -239,6 +239,36 @@ def test_gdro_chi2_large_lam_approaches_mean_risk(small_gdro_data):
     assert val == pytest.approx(erm, abs=1e-3)
 
 
+@pytest.mark.parametrize("lam", [0.1, 1.0, 4.0 / 3.0, 10.0, 1e6])
+def test_gdro_chi2_cap_covers_every_reachable_gradient(small_gdro_data, lam):
+    # group risks in [0, risk_bound] and c in [-lam, risk_bound] give inner
+    # values u = (R - c)/lam in [-1, (risk_bound + lam)/lam]; on all of them
+    # the outer is the uncapped quadratic lam*((u + 2)^2/4 - 1)
+    risk_bound = 4.0
+    f = build_gdro(small_gdro_data, divergence="chi2", lam=lam, risk_bound=risk_bound).outers[0]
+    lo, hi = f.dual_domain()
+    for u in np.linspace(-1.0, (risk_bound + lam) / lam, 101):
+        assert lo <= f.grad(u) <= hi
+        assert f.grad(u) == pytest.approx(lam * (u + 2.0) / 2.0, rel=1e-12)
+        assert f.value(u) == pytest.approx(lam * ((u + 2.0) ** 2 / 4.0 - 1.0), rel=1e-12, abs=1e-9 * lam)
+
+
+@pytest.mark.parametrize("lam", [1.0, 10.0])
+def test_gdro_chi2_alexr_and_sox_reach_the_same_objective(lam):
+    # both solve the same problem, so at T=3000 their final objectives differ
+    # by optimization error only: under 7e-7 at seeds 1-3 for both lam, and
+    # 1e-5 leaves a wide margin.  A dual cap below a reachable gradient makes
+    # ALEXR's dual prox solve a different problem than sox's gradients: at
+    # lam=10 that gap was 2.77 (ALEXR 3.29 with c at its bound -10, sox 0.52)
+    data = build_synthetic_gdro(10, 5, 100, 0.5, np.random.default_rng(0))
+    problem = build_gdro(data, divergence="chi2", lam=lam, risk_bound=4.0)
+    alexr = run(AlexrConfig(eta=20.0, tau=2.0, theta=1.0, S=10, B=16, T=3000, seed=1),
+                problem, eval_every=3000)
+    sox = run(BaselineConfig(variant="sox", step=20.0, gamma=0.5, S=10, B=16, T=3000, seed=1),
+              problem, eval_every=3000)
+    assert abs(alexr.final_row.objective - sox.final_row.objective) < 1e-5
+
+
 def test_gdro_duality_small_grid():
     # penalized min-max over (w, q) equals the dual form over (w, c)
     data = build_synthetic_gdro(3, 2, 20, 0.6, np.random.default_rng(11))

@@ -15,13 +15,18 @@ from fcco.outers import (
     HingeHard,
     HuberHard,
     Identity,
+    OuterFunction,
     PositivePart,
     ScaledPositivePart,
     grid_conjugate_oracle,
     grid_prox_oracle,
 )
 
-ALL = [factory() for factory in SHIPPED_OUTER_FACTORIES.values()]
+# ChiSquareOuter(1, 2) turns linear at u = 2*cap/lam - 2 = 2, inside every
+# range the sweeps sample
+SWEEP = {**SHIPPED_OUTER_FACTORIES, "ChiSquareOuterLinearTail": lambda: ChiSquareOuter(1.0, 2.0)}
+IDS = list(SWEEP)
+ALL = [factory() for factory in SWEEP.values()]
 
 
 def finite_dual_interval(f, pad=3.0):
@@ -65,7 +70,7 @@ def test_hinge_value_matches_max_representation():
         assert f.value(u) == pytest.approx(rep, abs=1e-4)
 
 
-@pytest.mark.parametrize("f", ALL, ids=lambda f: type(f).__name__)
+@pytest.mark.parametrize("f", ALL, ids=IDS)
 def test_values_convex_on_random_chords(f):
     rng = np.random.default_rng(7)
     for _ in range(200):
@@ -89,7 +94,7 @@ def test_huber_middle_derivative():
     assert HuberHard(0.3).subgradient(0.5) == pytest.approx(0.8)
 
 
-@pytest.mark.parametrize("f", ALL, ids=lambda f: type(f).__name__)
+@pytest.mark.parametrize("f", ALL, ids=IDS)
 def test_subgradient_bounded_by_lipschitz(f):
     if not math.isfinite(f.lipschitz):
         return
@@ -98,7 +103,7 @@ def test_subgradient_bounded_by_lipschitz(f):
         assert abs(float(f.subgradient(u))) <= f.lipschitz + 1e-12
 
 
-@pytest.mark.parametrize("f", ALL, ids=lambda f: type(f).__name__)
+@pytest.mark.parametrize("f", ALL, ids=IDS)
 def test_monotone_functions_have_nonnegative_subgradients(f):
     if not f.is_monotone:
         return
@@ -106,12 +111,10 @@ def test_monotone_functions_have_nonnegative_subgradients(f):
         assert float(f.subgradient(u)) >= 0.0
 
 
-@pytest.mark.parametrize("f", ALL, ids=lambda f: type(f).__name__)
+@pytest.mark.parametrize("f", ALL, ids=IDS)
 def test_subgradients_lie_in_the_dual_domain(f):
-    # the one declared fact the others derive from: every subgradient lies in
-    # [lo, hi], so |f'| <= lipschitz = max(-lo, hi), and f' >= 0 when
-    # is_monotone (lo >= 0).  ChiSquareOuter's cap is the GDRO problem's bound on
-    # f', which its value holds for u <= 2*cap/lam - 2 (6 here).
+    # every subgradient lies in the declared [lo, hi], so |f'| <= lipschitz =
+    # max(-lo, hi), and f' >= 0 when is_monotone (lo >= 0)
     lo, hi = f.dual_domain()
     for u in np.linspace(-5, 5, 201):
         assert lo <= float(f.subgradient(u)) <= hi
@@ -132,7 +135,14 @@ def test_derived_constants_equal_the_ones_each_class_stated():
         assert (f.lipschitz, f.is_monotone, f.is_smooth) == (lipschitz, monotone, smooth), f
 
 
-@pytest.mark.parametrize("f", ALL, ids=lambda f: type(f).__name__)
+def test_every_method_but_value_is_derived_from_the_declaration():
+    derived = {"subgradient", "grad", "conjugate_value", "conjugate_grad",
+               "prox_dual_quadratic", "dual_domain", "lipschitz", "is_monotone", "is_smooth"}
+    for cls in (ScaledPositivePart, ChiSquareOuter, HuberHard, HingeHard):
+        assert not derived & set(vars(cls)), cls
+
+
+@pytest.mark.parametrize("f", ALL, ids=IDS)
 def test_subgradient_supports_function(f):
     rng = np.random.default_rng(3)
     for _ in range(200):
@@ -161,7 +171,7 @@ def test_hinge_conjugate_at_zero_matches_grid_sup():
     assert sup == pytest.approx(0.2, abs=1e-6)
 
 
-@pytest.mark.parametrize("f", ALL, ids=lambda f: type(f).__name__)
+@pytest.mark.parametrize("f", ALL, ids=IDS)
 def test_conjugate_matches_grid_sup(f):
     # sup over u of y*u - f(u); bounded dual values keep the sup interior
     lo, hi = finite_dual_interval(f, pad=2.0)
@@ -181,6 +191,22 @@ def test_chi_square_conjugate_is_full_quadratic():
         assert float(f.conjugate_value(y)) == pytest.approx(sup, abs=2e-3)
 
 
+def test_chi_square_is_quadratic_up_to_its_cap_then_linear():
+    # the biconjugate of the capped conjugate: lam*((u + 2)^2/4 - 1) while
+    # f'(u) = lam*(u + 2)/2 stays below cap, i.e. up to u = 2*cap/lam - 2,
+    # then linear with slope cap; -lam below u = -2
+    lam, cap = 3.0, 4.5
+    f = ChiSquareOuter(lam, cap)
+    kink = 2.0 * cap / lam - 2.0
+    for u in np.linspace(-2.0, kink, 41):
+        assert f.value(u) == pytest.approx(lam * ((u + 2.0) ** 2 / 4.0 - 1.0), rel=1e-12, abs=1e-12)
+        assert f.grad(u) == pytest.approx(lam * (u + 2.0) / 2.0, rel=1e-12)
+    for u in np.linspace(kink, kink + 50.0, 41):
+        assert f.value(u) == pytest.approx(f.value(kink) + cap * (u - kink), rel=1e-12)
+        assert f.grad(u) == cap
+    assert (f.value(-7.0), f.grad(-7.0)) == (-lam, 0.0)
+
+
 # --- dual domains ---------------------------------------------------------
 
 
@@ -191,7 +217,7 @@ def test_dual_domains():
     assert Identity().dual_domain() == (1.0, 1.0)
 
 
-@pytest.mark.parametrize("f", ALL, ids=lambda f: type(f).__name__)
+@pytest.mark.parametrize("f", ALL, ids=IDS)
 def test_conjugate_finite_exactly_on_dual_domain(f):
     lo, hi = f.dual_domain()
     if math.isfinite(lo):
@@ -205,19 +231,26 @@ def test_conjugate_finite_exactly_on_dual_domain(f):
 # --- Young-Fenchel --------------------------------------------------------
 
 
-@pytest.mark.parametrize("f", ALL, ids=lambda f: type(f).__name__)
+@pytest.mark.parametrize("f", ALL, ids=IDS)
 def test_young_fenchel_inequality_and_equality_at_subgradient(f):
+    # f(u) + f*(y) >= y*u for every y, with equality at y = subgradient(u):
+    # that equality ties a closed-form value to the declared conjugate.  The
+    # terms are O(|y*u|) or O(1), so rounding leaves at most a few ulps of
+    # max(1, |y*u|); 1e-12 of it catches any value that is not f**
     lo, hi = finite_dual_interval(f)
-    for u in np.linspace(-2.5, 2.5, 41):
+    wide = np.random.default_rng(19).uniform(-6.0, 6.0, 200)
+    us = np.concatenate([np.linspace(-8.0, 8.0, 321), np.sign(wide) * 10.0 ** np.abs(wide)])
+    for u in us:
+        scale = max(1.0, abs(float(f.value(u))))
         for y in np.linspace(lo, hi, 21):
             fy = float(f.conjugate_value(y))
             if not math.isfinite(fy):
                 continue
-            assert float(f.value(u)) + fy >= y * u - 1e-9
+            assert float(f.value(u)) + fy >= y * u - 1e-12 * max(scale, abs(y * u))
         y_star = float(f.subgradient(u))
         fy = float(f.conjugate_value(y_star))
-        if math.isfinite(fy):
-            assert float(f.value(u)) + fy == pytest.approx(y_star * u, abs=1e-3)
+        assert math.isfinite(fy)
+        assert abs(float(f.value(u)) + fy - y_star * u) <= 1e-12 * max(1.0, abs(y_star * u)), u
 
 
 # --- dual prox ------------------------------------------------------------
@@ -252,9 +285,11 @@ def test_identity_prox_degenerate_domain():
     f = Identity()
     assert float(f.prox_dual_quadratic(1.0, -3.0, 0.5)) == 1.0
     assert grid_prox_oracle(f, 1.0, -3.0, 0.5, grid_size=500) == 1.0
+    # a NaN passes through the clamp, as on every other outer
+    assert math.isnan(f.prox_dual_quadratic(1.0, math.nan, 0.5))
 
 
-@pytest.mark.parametrize("f", ALL, ids=lambda f: type(f).__name__)
+@pytest.mark.parametrize("f", ALL, ids=IDS)
 def test_prox_output_in_dual_domain(f):
     rng = np.random.default_rng(11)
     lo, hi = f.dual_domain()
@@ -266,7 +301,7 @@ def test_prox_output_in_dual_domain(f):
         assert lo - 1e-12 <= v <= hi + 1e-12
 
 
-@pytest.mark.parametrize("f", ALL, ids=lambda f: type(f).__name__)
+@pytest.mark.parametrize("f", ALL, ids=IDS)
 def test_prox_matches_grid_oracle_random_sweep(f):
     rng = np.random.default_rng(5)
     lo, hi = finite_dual_interval(f, pad=6.0)
@@ -281,7 +316,7 @@ def test_prox_matches_grid_oracle_random_sweep(f):
         assert abs(exact - approx) <= 2 * width / grid + 1e-12
 
 
-@pytest.mark.parametrize("f", ALL, ids=lambda f: type(f).__name__)
+@pytest.mark.parametrize("f", ALL, ids=IDS)
 def test_prox_nonexpansive_in_y(f):
     rng = np.random.default_rng(13)
     for _ in range(300):
@@ -406,7 +441,7 @@ clamp_arrays = st.lists(clamp_floats, min_size=1, max_size=40).map(np.array)
 
 
 @settings(max_examples=300, deadline=None)
-@given(which=st.sampled_from(["scaled_positive_part", "chi_square", "huber_hard", "hinge_hard"]),
+@given(which=st.sampled_from(["ScaledPositivePart", "ChiSquareOuter", "HuberHard", "HingeHard"]),
        data=st.data(), tau=st.one_of(st.floats(1e-3, 1e3), st.just(math.inf)),
        scalar=st.booleans())
 def test_clamps_equal_np_clip_bitwise(which, data, tau, scalar):
@@ -456,9 +491,115 @@ def test_grid_prox_oracle_requires_bounds_for_unbounded_domain():
 
 
 def test_parameter_validation():
+    for lo, hi, a in ((0.0, 1.0, -1.0), (1.0, 0.0, 1.0), (0.0, math.inf, 0.0), (math.nan, 1.0, 1.0)):
+        with pytest.raises(InvalidParameterError):
+            OuterFunction(lo, hi, a)
     with pytest.raises(InvalidParameterError):
         ScaledPositivePart(0.0)
     with pytest.raises(InvalidParameterError):
         HuberHard(1.5)
     with pytest.raises(InvalidParameterError):
         ChiSquareOuter(-1.0, 4.0)
+
+
+# --- the declared builder outers against the hand-written ones ------------
+
+
+class HandWrittenOuter:
+    """An outer function given by separately written methods."""
+
+    def __init__(self, lo, hi, value, slope, prox, conjugate_grad=None):
+        self.lo, self.hi = lo, hi
+        self.value, self.subgradient, self.grad, self.prox_dual_quadratic = value, slope, slope, prox
+        self.is_smooth = conjugate_grad is not None
+        self.is_monotone = lo >= 0
+        self._conjugate_grad = conjugate_grad
+
+    def dual_domain(self):
+        return (self.lo, self.hi)
+
+    def conjugate_grad(self, y):
+        if self._conjugate_grad is None:
+            raise NotSmoothError("kinked")
+        return self._conjugate_grad(y)
+
+
+def hand_written(f):
+    """The builder outer `f` in the arithmetic its class wrote out by hand
+    before every method but `value` was derived from the conjugate (array
+    paths only; the scalar paths equal them bit for bit, tested above)."""
+    if isinstance(f, HuberHard):
+        nu = f.nu
+
+        def value(u):
+            u = np.asarray(u, dtype=float)
+            d = u + nu
+            return np.where(u < -1.0, (nu - 1.0) * u + 0.5 * (nu - 1.0) ** 2 + nu - 1.0 - 0.5 * nu ** 2,
+                            np.where(u > 1.0, (1.0 + nu) * u + 0.5 * (1.0 + nu) ** 2 - 1.0 - nu - 0.5 * nu ** 2,
+                                     0.5 * (d * d) - 0.5 * nu ** 2))[()]
+        return HandWrittenOuter(
+            nu - 1.0, nu + 1.0, value,
+            lambda u: np.minimum(nu + 1.0, np.maximum(nu - 1.0, np.asarray(u) + nu))[()],
+            lambda y, g, tau: np.minimum(nu + 1.0, np.maximum(nu - 1.0, (g + nu + tau * y) / (1.0 + tau))),
+            conjugate_grad=lambda y: np.asarray(y) - nu)
+    if isinstance(f, HingeHard):
+        beta, nu = f.beta, f.nu
+        return HandWrittenOuter(
+            0.0, beta, lambda u: beta * np.maximum(np.asarray(u), -nu)[()],
+            lambda u: np.where(np.asarray(u) > -nu, beta, np.where(np.asarray(u) < -nu, 0.0, 0.5 * beta))[()],
+            lambda y, g, tau: np.minimum(beta, np.maximum(0.0, y + (g + nu) / tau)))
+    assert type(f) is ScaledPositivePart
+    alpha, cap = f.alpha, f.cap
+    return HandWrittenOuter(
+        0.0, cap, lambda u: np.maximum(u, 0.0) / alpha,
+        lambda u: np.where(np.asarray(u) > 0, cap, np.where(np.asarray(u) < 0, 0.0, 0.5 * cap))[()],
+        lambda y, g, tau: np.minimum(cap, np.maximum(0.0, y + g / tau)))
+
+
+def built_problem(family):
+    from fcco.datasets import build_synthetic_gdro, build_synthetic_pauc
+    from fcco.instances import build_gdro, build_hard_nonsmooth, build_hard_smooth, build_pauc
+
+    if family == "hard_smooth":
+        return build_hard_smooth(12, 0.3, 0.5).problem
+    if family == "hard_nonsmooth":
+        return build_hard_nonsmooth(12, 0.3, 1.0, 2.0, 0.5).problem
+    if family == "gdro_cvar":
+        return build_gdro(build_synthetic_gdro(6, 4, 40, 0.5, np.random.default_rng(0)), "cvar", alpha=0.5)
+    return build_pauc(build_synthetic_pauc(15, 40, 4, 1.0, 0.5, np.random.default_rng(0)))
+
+
+def run_outputs(cfg, problem):
+    """Every float a run reports, as exact reprs: its records, x_last, x_avg
+    and dual_final."""
+    from fcco.solvers import run
+
+    rec = run(cfg, problem, eval_every=50)
+    rows = [(r.t, r.oracle_count, r.objective, r.objective_avg, r.gap, r.dist_sq, r.dual_norm,
+             r.extras) for r in rec.rows]
+    arrays = [None if a is None else a.tobytes() for a in (rec.x_last, rec.x_avg, rec.dual_final)]
+    return repr(rows), arrays
+
+
+@pytest.mark.parametrize("family", ["hard_smooth", "hard_nonsmooth", "gdro_cvar", "pauc"])
+def test_declared_builder_outers_reproduce_the_hand_written_ones_bitwise(family):
+    # every block solver on every builder whose outer kept its arithmetic
+    # (all but chi2 GDRO): the hard instances on the vectorized kernel path,
+    # GDRO and pAUC one block at a time
+    from dataclasses import replace
+
+    from fcco.solvers import AlexrConfig, BaselineConfig
+
+    problem = built_problem(family)
+    outer = problem.outers[0]
+    assert all(f is outer for f in problem.outers)
+    reference = replace(problem, outers=[hand_written(outer)] * problem.n)
+    assert (problem.kernel is None) == (reference.kernel is None)
+    steps = dict(S=3, B=2, T=200, seed=1)
+    configs = [AlexrConfig(eta=5.0, tau=2.5, theta=theta, psi_mode=mode, **steps)
+               for theta in (0.0, 1.0)
+               for mode in (("quadratic", "conjugate") if outer.is_smooth else ("quadratic",))]
+    configs += [BaselineConfig(variant=v, step=5.0, gamma=0.5, subgradient_fallback=True, **steps)
+                for v in ("sox", "msvr", "bsgd")]
+    for cfg in configs:
+        assert run_outputs(cfg, problem) == run_outputs(cfg, reference), cfg
