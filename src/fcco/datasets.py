@@ -6,6 +6,7 @@ import csv
 import io
 import math
 import operator
+import sys
 import warnings
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -145,18 +146,56 @@ def parse_libsvm(stream):
     return mat, np.asarray(labels)
 
 
+def _stored_entries(features):
+    """(n_rows, indptr, cols, values) of the entries `scipy.sparse.csr_matrix
+    (features)` would store, in row-major order, without loading scipy for a
+    dense input."""
+    sp = sys.modules.get("scipy.sparse")  # a sparse input exists only once it is loaded
+    if sp is not None and sp.issparse(features):
+        mat = features.tocsr()  # sums duplicates, keeps explicitly stored zeros
+        return mat.shape[0], mat.indptr, mat.indices, mat.data
+    dense = np.atleast_2d(np.asarray(features))
+    if dense.ndim != 2:
+        raise DataError(f"features must be one row or a matrix, got shape {dense.shape}")
+    rows, cols = np.nonzero(dense)  # NaN counts as nonzero, +-0.0 does not
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(dense)))))
+    return len(dense), indptr, cols, dense[rows, cols]
+
+
 def dump_libsvm(features, labels, stream):
-    """Serialize rows in the same sparse text format (17-digit floats)."""
-    import scipy.sparse as sp
-    mat = sp.csr_matrix(features)
-    indptr = mat.indptr.tolist()
-    indices = mat.indices.tolist()
-    values = mat.data.tolist()
-    for i, label in enumerate(labels):
-        lo, hi = indptr[i], indptr[i + 1]
-        parts = [f"{label:.17g}"]
-        parts += [f"{j + 1}:{v:.17g}" for j, v in zip(indices[lo:hi], values[lo:hi])]
-        stream.write(" ".join(parts) + "\n")
+    """Serialize rows in the same sparse text format (17-digit floats).
+
+    `features` is a dense array, an `np.matrix`, a nested list (a 1-D input
+    is one row) or a scipy sparse matrix or array; a dense row writes its
+    nonzero entries (NaN included, +-0.0 left out), a sparse row what its
+    `tocsr()` stores.  `labels` holds one number per row.  Only a sparse
+    input needs scipy.  Raises DataError when the label count differs from
+    the row count, or when a label or value is not finite, which
+    parse_libsvm would refuse to read back; nothing is written then."""
+    n_rows, indptr, cols, values = _stored_entries(features)
+    labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise DataError(f"labels must be one-dimensional, got shape {labels.shape}")
+    if len(labels) != n_rows:
+        raise DataError(f"{len(labels)} labels for {n_rows} feature rows")
+    counts = np.diff(indptr)
+    bad = np.concatenate((np.flatnonzero(~np.isfinite(labels)),
+                          np.repeat(np.arange(n_rows), counts)[~np.isfinite(values)]))
+    if bad.size:
+        raise DataError(f"row {bad.min()} holds a non-finite label or value")
+    # each row is "label idx:val ...", formatted by one template per entry count
+    pairs = [None] * (2 * len(values))
+    pairs[0::2] = (cols + 1).tolist()
+    pairs[1::2] = values.tolist()
+    bounds = (2 * indptr).tolist()
+    templates = {}
+    lines = []
+    for label, k, lo, hi in zip(labels.tolist(), counts.tolist(), bounds, bounds[1:]):
+        template = templates.get(k)
+        if template is None:
+            template = templates[k] = "%.17g" + " %d:%.17g" * k + "\n"
+        lines.append(template % (label, *pairs[lo:hi]))
+    stream.write("".join(lines))
 
 
 def load_libsvm(path):

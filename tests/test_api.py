@@ -58,3 +58,22 @@ def test_import_loads_every_layer():
     for layer in LOADED_MODULES:
         assert f"fcco.{layer}" in modules.split()
     assert (before, after) == ("False", "True")
+
+
+def test_writing_dense_libsvm_does_not_load_scipy(tmp_path):
+    # a fresh interpreter: writing dense rows, directly or through
+    # `fcco emit-synthetic pauc`, leaves scipy unloaded; reading loads it
+    code = ("import io, sys, numpy as np; from fcco import cli, datasets; "
+            "buf = io.StringIO(); datasets.dump_libsvm(np.eye(3), [1, -1, 1], buf); "
+            "seen = ['scipy' in sys.modules]; "
+            "cli.main(['--out', sys.argv[1], 'emit-synthetic', 'pauc']); "
+            "seen.append('scipy' in sys.modules); "
+            "datasets.parse_libsvm(buf.getvalue()); "
+            "seen.append('scipy' in sys.modules); print(seen)")
+    src = str(pathlib.Path(fcco.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, env=env,
+        check=True,
+    ).stdout.splitlines()
+    assert out == [str(tmp_path / "synthetic_pauc.libsvm"), "[False, False, True]"]

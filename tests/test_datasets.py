@@ -92,6 +92,27 @@ def test_libsvm_round_trip_random_rows():
     assert np.array_equal(dense, rows)
 
 
+@pytest.mark.parametrize("n_rows, n_labels", [(3, 2), (2, 3)])
+def test_dump_libsvm_rejects_a_label_count_unlike_the_row_count(n_rows, n_labels):
+    buf = io.StringIO()
+    with pytest.raises(DataError, match=f"^{n_labels} labels for {n_rows} feature rows$"):
+        dump_libsvm(np.ones((n_rows, 2)), np.ones(n_labels), buf)
+    assert buf.getvalue() == ""
+
+
+@pytest.mark.parametrize("row, label, value", [
+    (1, np.inf, 1.0), (2, 1.0, np.nan), (0, -np.inf, -np.inf), (1, np.nan, 1.0)])
+def test_dump_libsvm_rejects_non_finite_rows(row, label, value):
+    # such a file would not read back: parse_libsvm refuses non-finite text
+    rows, labels = np.ones((4, 3)), np.ones(4)
+    rows[row, 1], labels[row] = value, label
+    rows[3, 2] = np.nan  # a later bad row does not hide the first
+    buf = io.StringIO()
+    with pytest.raises(DataError, match=f"^row {row} holds a non-finite label or value$"):
+        dump_libsvm(rows, labels, buf)
+    assert buf.getvalue() == ""
+
+
 # --- grouped csv ------------------------------------------------------------
 
 

@@ -701,3 +701,37 @@ def test_cli_emit_synthetic_pauc(tmp_path, capsys):
     mat, labels = load_libsvm(out_path)
     assert mat.shape[0] == 10
     assert (labels > 0).sum() == 4
+
+
+def test_cli_pauc_libsvm_run_matches_the_synthetic_builder(tmp_path, capsys):
+    # writer, reader and builder together: the emitted file reads back to the
+    # dataset pauc_synthetic builds from the same seed, so every record file
+    # is the same byte for byte
+    sizes = {"n_pos": 6, "n_neg": 14, "d": 3, "separation": 1.5, "alpha": 0.5}
+    assert cli_main(["--out", str(tmp_path), "emit-synthetic", "pauc", "--seed", "5",
+                     "--n-pos", "6", "--n-neg", "14", "--dim", "3", "--separation", "1.5",
+                     "--alpha", "0.5"]) == 0
+    data = capsys.readouterr().out.strip()
+    common = {"S": 2, "B": 2, "T": 30}
+    config = {
+        "solvers": [
+            {"name": "alexr", "params": {"eta": 10.0, "tau": 1.0, "theta": 1.0, **common}},
+            {"name": "sox", "params": {"step": 10.0, "gamma": 0.5,
+                                       "subgradient_fallback": True, **common}},
+        ],
+        "seeds": [1, 2],
+        "eval_every": 10,
+        "emit": "csv",
+    }
+    outputs = {}
+    for name, problem in (
+            ("libsvm", {"builder": "pauc_libsvm", "params": {"path": data, "alpha": 0.5}}),
+            ("synthetic", {"builder": "pauc_synthetic",
+                           "params": {"data_seed": 5, **sizes}})):
+        (tmp_path / name).mkdir()
+        path = write_config(tmp_path / name, dict(config, problem=problem))
+        assert cli_main(["--out", str(tmp_path / name / "out"), "run", path]) == 0
+        outputs[name] = {p.name: p.read_bytes() for p in (tmp_path / name / "out").iterdir()
+                         if p.name != "manifest.json"}
+    assert len(outputs["libsvm"]) == 5  # 2 cells x 2 seeds and the aggregate
+    assert outputs["libsvm"] == outputs["synthetic"]

@@ -1,4 +1,4 @@
-"""The per-line LIBSVM reader and the list-walking writer against the
+"""The per-line LIBSVM reader and the template writer against the
 per-token reader and the row-by-row writer they replaced."""
 
 import io
@@ -173,16 +173,74 @@ def test_parser_matches_reference_on_generated_documents(doc):
     assert_same_parse(doc)
 
 
-@pytest.mark.parametrize("dtype", [float, np.float32, int])
+def _writer_inputs(rows):
+    """Every form `dump_libsvm` accepts, holding the same rows; one coo form
+    stores every entry twice, which csr_matrix sums, and the other adds
+    explicitly stored zeros, which it keeps."""
+    coo = sp.coo_matrix(rows)
+    zeros = np.argwhere(rows == 0)
+    return {
+        "ndarray": rows,
+        "matrix": np.matrix(rows),
+        "list": rows.tolist(),
+        "csr": sp.csr_matrix(rows),
+        "csc": sp.csc_matrix(rows),
+        "csr_array": sp.csr_array(rows),
+        "coo_duplicates": sp.coo_matrix(
+            (np.concatenate((coo.data, coo.data)),
+             (np.tile(coo.row, 2), np.tile(coo.col, 2))), shape=rows.shape),
+        "coo_stored_zeros": sp.coo_matrix(
+            (np.concatenate((coo.data, np.zeros(len(zeros), rows.dtype))),
+             (np.concatenate((coo.row, zeros[:, 0])), np.concatenate((coo.col, zeros[:, 1])))),
+            shape=rows.shape),
+    }
+
+
+@pytest.mark.filterwarnings("ignore:the matrix subclass:PendingDeprecationWarning")
+# float and int are float64 and int64
+@pytest.mark.parametrize("dtype", [float, np.float32, int, np.int8, bool])
 def test_writer_matches_reference_bytes(dtype):
     rng = np.random.default_rng(3)
     rows = rng.standard_normal((60, 7)) * 10
     rows[rng.random(rows.shape) < 0.5] = 0.0
-    rows[0] = 0.0  # an empty row
+    rows[0] = 0.0  # an all-zero row
+    rows[1, ::2] = -0.0  # a row holding -0.0 beside nonzeros
+    rows[2] = -0.0  # a row of -0.0 alone
     rows = rows.astype(dtype)
-    labels = np.where(rng.random(60) < 0.5, -1.0, 1.0)
-    for features in (rows, sp.csr_matrix(rows), sp.coo_matrix(rows)):
-        got, expect = io.StringIO(), io.StringIO()
-        dump_libsvm(features, labels, got)
-        reference_dump_libsvm(features, labels, expect)
-        assert got.getvalue() == expect.getvalue()
+    signs = np.where(rng.random(60) < 0.5, -1, 1)
+    labels = {"float": signs.astype(float), "int": signs, "python int": signs.tolist(),
+              "float32": (signs * 1.1).astype(np.float32)}
+    for form, features in _writer_inputs(rows).items():
+        for kind, label in labels.items():
+            got, expect = io.StringIO(), io.StringIO()
+            dump_libsvm(features, label, got)
+            reference_dump_libsvm(features, label, expect)
+            assert got.getvalue() == expect.getvalue(), (form, kind)
+
+
+@st.composite
+def float_rows(draw):
+    """A float64 matrix of finite values and a random zero pattern, with
+    its labels.  The writer leaves out -0.0, which reads back as +0.0, so
+    the zeros are +0.0."""
+    n, d = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    rows = np.array(draw(st.lists(finite, min_size=n * d, max_size=n * d)),
+                    dtype=float).reshape(n, d)
+    rows[np.array(draw(st.lists(st.booleans(), min_size=n * d, max_size=n * d)),
+                  dtype=bool).reshape(n, d)] = 0.0
+    rows[rows == 0.0] = 0.0
+    return rows, np.array(draw(st.lists(finite, min_size=n, max_size=n)), dtype=float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(float_rows())
+def test_writer_round_trips_through_the_parser(case):
+    rows, labels = case
+    buf = io.StringIO()
+    dump_libsvm(rows, labels, buf)
+    mat, parsed = parse_libsvm(buf.getvalue())
+    assert _same_bits(parsed, labels)
+    padded = np.zeros_like(rows)
+    padded[:, :mat.shape[1]] = mat.toarray()
+    assert _same_bits(padded, rows)
