@@ -12,6 +12,7 @@ log-log slope.
 
 from __future__ import annotations
 
+import csv
 import inspect
 import itertools
 import json
@@ -29,6 +30,7 @@ from .instances import (BuiltProblem, build_gdro, build_hard_nonsmooth, build_ha
                         build_pauc)
 from .metrics import fit_rate
 from .solvers import (
+    SOLVER_NAMES,
     AlexrConfig,
     BaselineConfig,
     check_preset_epsilon,
@@ -37,7 +39,11 @@ from .solvers import (
     strongly_convex_preset,
 )
 
-RECORD_FIELDS = ("solver", "seed", "t", "oracle_count", "objective", "gap", "wall_nanos")
+# The record format, declared once: each column's type in file order, and
+# each `emit` value's file extension.
+RECORD_SCHEMA = {"solver": str, "seed": int, "t": int, "oracle_count": int,
+                 "objective": float, "gap": float, "wall_nanos": int}
+EMIT_EXTENSIONS = {"csv": "csv", "json_lines": "jsonl"}
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +133,12 @@ def validate_config(raw):
         name = solver["name"]
         if not isinstance(name, str) or name not in SOLVER_NAMES:
             _fail(f"{at}.name", f"unknown solver {name!r}")
-        if not isinstance(solver.get("label", ""), str):
+        label = solver.get("label", name)
+        if not isinstance(label, str):
             _fail(f"{at}.label", "label must be a string")
+        # csv quotes a comma, quote or newline in a cell, but not a lone "\r"
+        if not label or "\r" in label:
+            _fail(f"{at}.label", "label must be nonempty and hold no carriage return")
         params = solver.get("params", {})
         if not isinstance(params, dict):
             _fail(f"{at}.params", "params must be a mapping")
@@ -156,9 +166,12 @@ def validate_config(raw):
     if (not isinstance(seeds, list) or not seeds
             or not all(_is_kind(s, int) and s >= 0 for s in seeds)):
         _fail("seeds", "need a nonempty list of non-negative integer seeds")
+    repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
+    if repeated is not None:
+        _fail("seeds", f"seed {repeated} is repeated; each seed runs once")
     if not _is_kind(config.eval_every, int) or config.eval_every < 1:
         _fail("eval_every", "must be a positive integer")
-    if config.emit not in ("csv", "json_lines"):
+    if not isinstance(config.emit, str) or config.emit not in EMIT_EXTENSIONS:
         _fail("emit", f"unknown format {config.emit!r}")
     epsilons = config.epsilons
     if epsilons is not None:
@@ -239,15 +252,6 @@ BUILDER_PARAMS = {
 }
 
 
-# the hard-instance params are the library builders' keyword arguments
-def _build_hard_smooth(p):
-    return build_hard_smooth(**p)
-
-
-def _build_hard_nonsmooth(p):
-    return build_hard_nonsmooth(**p)
-
-
 def _gdro(data, p):
     problem = build_gdro(data, divergence=p["divergence"], alpha=p["alpha"], lam=p["lam"],
                          weight_decay=p["weight_decay"], risk_bound=p["risk_bound"])
@@ -291,8 +295,9 @@ def _build_pauc_libsvm(p):
 
 
 PROBLEM_BUILDERS = {
-    "hard_smooth": _build_hard_smooth,
-    "hard_nonsmooth": _build_hard_nonsmooth,
+    # the hard-instance params are the library builders' keyword arguments
+    "hard_smooth": lambda p: build_hard_smooth(**p),
+    "hard_nonsmooth": lambda p: build_hard_nonsmooth(**p),
     "gdro_synthetic": _build_gdro_synthetic,
     "gdro_csv": _build_gdro_csv,
     "pauc_synthetic": _build_pauc_synthetic,
@@ -306,7 +311,6 @@ def _build(spec):
                                               **spec.get("params", {})})
 
 
-SOLVER_NAMES = ("alexr", "bsgd", "sox", "msvr", "sgd_erm", "sgd_uw")
 # ALEXR's library callable per preset (None: explicit step sizes).
 ALEXR_PRESETS = {None: AlexrConfig, "strongly_convex": strongly_convex_preset,
                  "convex": convex_preset}
@@ -384,59 +388,40 @@ def _fmt(value):
 
 
 def _fmt_json(value):
-    if isinstance(value, str):
+    if isinstance(value, str) or (isinstance(value, float) and not math.isfinite(value)):
         return json.dumps(value)
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "NaN"
-        if math.isinf(value):
-            return "Infinity" if value > 0 else "-Infinity"
-        return f"{value:.17g}"
-    return str(value)
+    return _fmt(value)
 
 
 def emit_records(records, path, fmt="csv", deterministic_wall=False):
     """Write records as CSV or JSON-lines with 17-significant-digit floats
     (round-trip exact).  With deterministic_wall, the hardware-dependent
     wall column is zeroed so re-runs are byte-identical."""
-    rows = []
-    for rec in records:
-        for row in rec.rows:
-            rows.append({
-                "solver": rec.solver, "seed": rec.seed, "t": row.t,
-                "oracle_count": row.oracle_count, "objective": row.objective,
-                "gap": row.gap,
-                "wall_nanos": 0 if deterministic_wall else row.wall_nanos,
-            })
+    if fmt not in EMIT_EXTENSIONS:
+        raise ConfigValidationError("emit", f"unknown format {fmt!r}")
+    rows = [(rec.solver, rec.seed, row.t, row.oracle_count, row.objective, row.gap,
+             0 if deterministic_wall else row.wall_nanos)
+            for rec in records for row in rec.rows]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if fmt == "csv":
-            fh.write(",".join(RECORD_FIELDS) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(row[k]) for k in RECORD_FIELDS) + "\n")
-        elif fmt == "json_lines":
-            for row in rows:
-                parts = ", ".join(f'"{k}": {_fmt_json(row[k])}' for k in RECORD_FIELDS)
-                fh.write("{" + parts + "}\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(RECORD_SCHEMA)
+            writer.writerows([_fmt(v) for v in row] for row in rows)
         else:
-            raise ConfigValidationError("emit", f"unknown format {fmt!r}")
+            for row in rows:
+                parts = ", ".join(f'"{k}": {_fmt_json(v)}' for k, v in zip(RECORD_SCHEMA, row))
+                fh.write("{" + parts + "}\n")
     return path
 
 
 def parse_records_csv(path):
-    """Round-trip reader for emitted CSV."""
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            vals = line.strip().split(",")
-            row = dict(zip(header, vals))
-            for key in ("t", "oracle_count", "wall_nanos"):
-                row[key] = int(row[key])
-            for key in ("objective", "gap"):
-                row[key] = float(row[key])
-            row["seed"] = int(row["seed"])
-            out.append(row)
-    return out
+    """Round-trip reader for emitted CSV: one dict per row, each value typed
+    by RECORD_SCHEMA.  A row wider or narrower than the header raises
+    ValueError."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return [{key: RECORD_SCHEMA[key](value) for key, value in zip(header, row, strict=True)}
+            for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +431,7 @@ def parse_records_csv(path):
 
 def _cell_filename(label, seed, fmt):
     safe = "".join(ch if ch.isalnum() or ch in "-_." else "_" for ch in label)
-    ext = "csv" if fmt == "csv" else "jsonl"
-    return f"{safe}__seed{seed}.{ext}"
+    return f"{safe}__seed{seed}.{EMIT_EXTENSIONS[fmt]}"
 
 
 def _run_seed(built, label, name, params, seed, eval_every):
@@ -530,7 +514,8 @@ def _write_aggregate(by_cell, path):
     cols = ["solver", "t", "oracle_count", "objective_mean", "objective_std",
             "gap_mean", "gap_std"] + [f"{k}_mean" for k in extra_keys]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(cols)
         for label in sorted(by_cell):
             recs = by_cell[label]
             n_rows = min(len(rec.rows) for rec in recs)
@@ -543,7 +528,7 @@ def _write_aggregate(by_cell, path):
                         float(np.mean(gaps)), float(np.std(gaps))]
                 for k in extra_keys:
                     vals.append(float(np.mean([r.extras.get(k, math.nan) for r in rows])))
-                fh.write(",".join(_fmt(v) for v in vals) + "\n")
+                writer.writerow([_fmt(v) for v in vals])
 
 
 # ---------------------------------------------------------------------------

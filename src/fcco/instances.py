@@ -322,7 +322,7 @@ def build_gdro(data, divergence="cvar", alpha=None, lam=1.0, weight_decay=0.0,
     l2[-1] = 0.0
     linear = np.zeros(dim)
     linear[-1] = 1.0
-    reg = Regularizer(l2_coeff=l2, linear=linear, mu=0.0)
+    reg = Regularizer(l2_coeff=l2, linear=linear)
     lower = np.full(dim, -math.inf)
     upper = np.full(dim, math.inf)
     lower[-1], upper[-1] = lo, hi
@@ -463,7 +463,7 @@ def build_pauc(data, surrogate="squared_hinge", weight_decay=0.0):
     l2[-1] = 0.0
     linear = np.zeros(dim)
     linear[-1] = 1.0
-    reg = Regularizer(l2_coeff=l2, linear=linear, mu=0.0)
+    reg = Regularizer(l2_coeff=l2, linear=linear)
     return ProblemInstance(
         n=n_pos, dim=dim, outers=[outer] * n_pos, inners=inners,
         regularizer=reg, domain=BoxDomain.unbounded(dim),

@@ -67,17 +67,15 @@ class Regularizer:
     """r(x) = sum_j l2[j]/2 * x[j]^2 + linear . x, with closed-form prox.
 
     `l2` may be a scalar or a per-coordinate vector; `mu` is the strong
-    convexity modulus (the smallest quadratic coefficient unless overridden).
+    convexity modulus, the smallest quadratic coefficient.
     """
 
-    def __init__(self, l2_coeff=0.0, linear=None, mu=None):
+    def __init__(self, l2_coeff=0.0, linear=None):
         self.l2_coeff = l2_coeff if np.isscalar(l2_coeff) else np.asarray(l2_coeff, dtype=float)
-        if np.any(np.asarray(self.l2_coeff) < 0):
+        if not np.all(np.asarray(self.l2_coeff) >= 0):  # NaN fails too
             raise InvalidParameterError("l2_coeff must be nonnegative")
         self.linear = None if linear is None else np.asarray(linear, dtype=float)
-        self.mu = float(np.min(self.l2_coeff) if mu is None else mu)
-        if self.mu < 0:
-            raise InvalidParameterError("mu must be nonnegative")
+        self.mu = float(np.min(self.l2_coeff))
 
     def value(self, x):
         x = np.asarray(x, dtype=float)

@@ -128,7 +128,7 @@ class BaselineConfig:
     label: str = ""
 
     def __post_init__(self):
-        if self.variant not in ("bsgd", "sox", "msvr", "sgd_erm", "sgd_uw"):
+        if self.variant not in _BASELINE_STEPS:
             raise InvalidParameterError(f"unknown baseline variant {self.variant!r}")
         if self.step <= 0:
             raise InvalidParameterError("step must be positive")
@@ -388,6 +388,8 @@ _BASELINE_STEPS = {
     "sgd_erm": sgd_step,
     "sgd_uw": sgd_step,
 }
+# Every solver a config can name: ALEXR and each baseline variant.
+SOLVER_NAMES = ("alexr", *_BASELINE_STEPS)
 
 
 @dataclass

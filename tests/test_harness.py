@@ -1,12 +1,16 @@
 """Harness: config validation, record emission, experiments, rate sweeps, CLI."""
 
+import csv
 import json
 import math
 import os
 import pathlib
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcco import harness
 
@@ -24,7 +28,7 @@ from fcco.harness import (
 )
 from fcco.instances import build_hard_smooth
 from fcco.metrics import fit_rate
-from fcco.solvers import AlexrConfig, run
+from fcco.solvers import AlexrConfig, RunRecord, RunRow, run
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -232,6 +236,12 @@ def test_validate_config_rejects_colliding_best_cell_keys(tmp_path, capsys, solv
     (lambda c: c.update(eval_every=True), "eval_every", "a positive integer"),
     # np.random.default_rng refuses a negative seed once the run has started
     (lambda c: c.update(seeds=[1, -1]), "seeds", "non-negative integer"),
+    # a repeated seed would run its cells twice and count them as two seeds
+    (lambda c: c.update(seeds=[1, 2, 1]), "seeds", "seed 1 is repeated"),
+    # an empty label would name the record file "__seed1.csv" while its
+    # solver column says the solver's name
+    (lambda c: c["solvers"][0].update(label=""), "solvers[0].label", "nonempty"),
+    (lambda c: c["solvers"][0].update(label="a\rb"), "solvers[0].label", "carriage return"),
 ])
 def test_validate_config_rejects_wrong_typed_values(tmp_path, capsys, edit, field, kind):
     # values of the wrong kind fail at validation with exit 1, not as a
@@ -357,6 +367,48 @@ def test_emit_json_lines_format(tmp_path):
     assert path.read_text().endswith("\n")
 
 
+def _record(solver, seed, objectives):
+    rows = [RunRow(t=t, oracle_count=2 * t, objective=v, objective_avg=v, gap=-v,
+                   dist_sq=0.0, dual_norm=0.0, wall_nanos=t) for t, v in enumerate(objectives)]
+    return RunRecord(solver=solver, seed=seed, rows=rows, config={},
+                     x_last=np.zeros(1), x_avg=np.zeros(1))
+
+
+def _bits(value):
+    return np.float64(value).view(np.int64)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=20))
+def test_parse_records_csv_round_trips_every_float_bit(tmp_path_factory, objectives):
+    path = tmp_path_factory.mktemp("records") / "rec.csv"
+    emit_records([_record("alexr[eta=0.5,tau=1.0]", 3, objectives)], path, "csv")
+    parsed = parse_records_csv(path)
+    assert [_bits(r["objective"]) for r in parsed] == [_bits(v) for v in objectives]
+    assert [_bits(r["gap"]) for r in parsed] == [_bits(-v) for v in objectives]
+    assert {r["solver"] for r in parsed} == {"alexr[eta=0.5,tau=1.0]"}
+
+
+def test_parse_records_csv_reads_nan_and_rejects_ragged_rows(tmp_path):
+    path = tmp_path / "rec.csv"
+    emit_records([_record("alexr", 1, [math.nan, 1.0])], path, "csv")
+    assert math.isnan(parse_records_csv(path)[0]["objective"])
+    lines = path.read_text().splitlines()
+    for ragged in (lines[1] + ",7", lines[1].rsplit(",", 1)[0]):
+        path.write_text("\n".join([lines[0], ragged]) + "\n")
+        with pytest.raises(ValueError):
+            parse_records_csv(path)
+
+
+def test_emit_json_lines_writes_a_numpy_integer_seed(tmp_path):
+    path = tmp_path / "rec.jsonl"
+    emit_records([_record("alexr", np.int64(7), [math.inf, 0.25])], path, "json_lines")
+    lines = path.read_text().splitlines()
+    assert lines[0] == ('{"solver": "alexr", "seed": 7, "t": 0, "oracle_count": 0, '
+                        '"objective": Infinity, "gap": -Infinity, "wall_nanos": 0}')
+    assert [json.loads(line)["seed"] for line in lines] == [7, 7]
+
+
 # --- experiments ----------------------------------------------------------------
 
 
@@ -407,6 +459,35 @@ def test_run_experiment_grid_selection(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert len(manifest["cells"]) == 2
     assert manifest["best_cell"]["alexr"] in manifest["cells"]
+
+
+def test_run_writes_valid_csv_for_two_key_grids_and_quoted_labels(tmp_path, capsys):
+    # a two-key grid's label holds a comma, and a label may hold a quote: csv
+    # quotes both, so every row is as wide as its header and reads back
+    common = {"theta": 1.0, "S": 2, "B": 1, "T": 20}
+    config = dict(BASE_CONFIG, seeds=[1, 2], solvers=[
+        {"name": "alexr", "grid": {"eta": [0.5, 2.0], "tau": [1.0, 2.0]}, "params": common},
+        {"name": "bsgd", "label": 'say "hi", bsgd', "params": {"step": 0.5, "S": 2, "T": 20}},
+    ])
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert cli_main(["--out", str(out), "run", path]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "alexr[eta=0.5,tau=1.0]" in manifest["cells"]
+    assert 'say "hi", bsgd' in manifest["cells"]
+    for name in os.listdir(out):
+        if name.endswith(".csv"):
+            with open(out / name, encoding="utf-8", newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert rows and all(len(row) == len(header) for row in rows), name
+    with open(out / "aggregate.csv", encoding="utf-8", newline="") as fh:
+        aggregate_cells = {row["solver"] for row in csv.DictReader(fh)}
+    assert aggregate_cells == set(manifest["cells"])
+    for label in manifest["cells"]:
+        for seed in config["seeds"]:
+            rows = parse_records_csv(out / harness._cell_filename(label, seed, "csv"))
+            assert len(rows) == 3 and all(len(r) == 7 for r in rows)
+            assert {(r["solver"], r["seed"]) for r in rows} == {(label, seed)}
 
 
 def test_run_experiment_best_cell_per_labelled_entry(tmp_path):
