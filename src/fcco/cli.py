@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -53,8 +54,6 @@ def _parser():
 
 
 def _emit_synthetic(args):
-    import os
-
     os.makedirs(args.out, exist_ok=True)
     rng = np.random.default_rng(args.seed)
     if args.kind == "gdro":
@@ -92,9 +91,7 @@ def main(argv=None):
             load_config(args.config)
             print("ok")
             return 0
-        if args.command == "emit-synthetic":
-            return _emit_synthetic(args)
-        return 2
+        return _emit_synthetic(args)  # argparse admits no other command
     except (ConfigValidationError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -58,6 +58,8 @@ class PaucDataset:
             raise InvalidParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
         if len(self.positives) * (1.0 - self.alpha) < 1.0:
             raise InvalidParameterError("n_pos * (1 - alpha) must be at least 1")
+        if len(self.negatives) == 0:
+            raise DataError("pAUC data holds no negatives")
 
 
 def _lines(stream):
@@ -66,8 +68,7 @@ def _lines(stream):
     return stream
 
 
-# largest 1-based index a row may hold: the matrix width must fit the int64
-# index dtype of the CSR arrays
+# largest 1-based index a row may hold: the fill gathers the indices as int64
 MAX_LIBSVM_INDEX = 2 ** 63 - 1
 
 
@@ -94,10 +95,11 @@ def _token_error(line_no, pairs):
 
 def parse_libsvm(stream):
     """Parse sparse 'label idx:val ...' text (1-based, strictly increasing
-    indices per line, each at most MAX_LIBSVM_INDEX).  Returns (csr_matrix,
-    labels); the width is the largest index seen.  Blank lines are skipped;
-    malformed input, including a non-finite label or value, raises with the
-    offending line number."""
+    indices per line, each at most MAX_LIBSVM_INDEX).  Returns (features,
+    labels), `features` a dense float64 array as wide as the largest index.
+    Blank lines are skipped; malformed input, including a non-finite label
+    or value, raises with the offending line number, and a shape too large
+    to allocate raises DataError naming the stream's file, if it has one."""
     labels, row_lines = [], []
     data, indices, indptr = [], [], [0]
     max_index = 0
@@ -138,12 +140,15 @@ def parse_libsvm(stream):
     if bad.size:
         row = int(np.searchsorted(indptr, bad[0], side="right")) - 1
         raise LibsvmParseError(row_lines[row], f"non-finite value at index {indices[bad[0]]}")
-    import scipy.sparse as sp  # here, not at the top, so that `import fcco` stays numpy-only
-    mat = sp.csr_matrix(
-        (data, np.asarray(indices, dtype=int) - 1, indptr),
-        shape=(len(labels), max_index),
-    )
-    return mat, np.asarray(labels)
+    try:
+        features = np.zeros((len(labels), max_index))
+    except (ValueError, MemoryError) as exc:
+        raise DataError(f"{getattr(stream, 'name', 'LIBSVM text')}: cannot allocate the "
+                        f"{len(labels)}x{max_index} feature array ({exc})") from exc
+    # added to the zeros, so that a -0.0 entry reads as +0.0, like an absent one
+    features[np.repeat(np.arange(len(labels)), np.diff(indptr)),
+             np.asarray(indices, dtype=int) - 1] += data
+    return features, np.asarray(labels)
 
 
 def _stored_entries(features):

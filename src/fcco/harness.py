@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .datasets import build_synthetic_gdro, build_synthetic_pauc, load_grouped_csv, load_libsvm, PaucDataset
-from .errors import ConfigValidationError, DataError, FccoError, InvalidParameterError
+from .errors import ConfigValidationError, FccoError, InvalidParameterError
 from .instances import (BuiltProblem, build_gdro, build_hard_nonsmooth, build_hard_smooth,
                         build_pauc)
 from .metrics import fit_rate
@@ -204,6 +204,13 @@ def validate_config(raw):
             _fail(f"solvers[{i}]", f"best_cell key {key!r} is also that of solvers[{key_owner[key]}]"
                                    "; give the entries distinct labels")
         key_owner[key] = i
+    # NaN fails every comparison: a NaN that no range check above refused fails here
+    for prefix, mapping in [("problem.params.", problem_params)] + [
+            (f"solvers[{i}].{part}.", solver.get(part, {}))
+            for i, solver in enumerate(solvers) for part in ("params", "grid")]:
+        for key, value in mapping.items():
+            if any(v != v for v in (value if isinstance(value, list) else [value])):
+                _fail(f"{prefix}{key}", "expected a number, got nan")
     return config
 
 
@@ -285,11 +292,6 @@ def _build_pauc_synthetic(p):
 
 def _build_pauc_libsvm(p):
     feats, labels = load_libsvm(p["path"])
-    try:
-        feats = np.asarray(feats.todense())
-    except (ValueError, MemoryError) as exc:
-        raise DataError(f"{p['path']}: cannot densify the {feats.shape[0]}x{feats.shape[1]} "
-                        f"LIBSVM matrix ({exc})") from exc
     return _pauc(PaucDataset(positives=feats[labels > 0], negatives=feats[labels <= 0],
                              alpha=p["alpha"]), p)
 

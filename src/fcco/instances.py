@@ -450,13 +450,9 @@ class PaucInnerOracle(IndexBatchOracle):
 def build_pauc(data, surrogate="squared_hinge", weight_decay=0.0):
     """Ranking problem over x = (w, s): one component per positive sample
     with outer hinge scaled by 1/(1-alpha), plus the '+s' linear term."""
-    alpha = data.alpha
     n_pos = len(data.positives)
-    if n_pos * (1.0 - alpha) < 1.0:
-        raise InvalidParameterError("degenerate: n_pos*(1-alpha) must be at least 1")
-    d = data.positives.shape[1]
-    dim = d + 1
-    outer = ScaledPositivePart(1.0 - alpha)
+    dim = data.positives.shape[1] + 1
+    outer = ScaledPositivePart(1.0 - data.alpha)
     inners = [PaucInnerOracle(data.positives[i], data.negatives, surrogate)
               for i in range(n_pos)]
     l2 = np.full(dim, weight_decay)

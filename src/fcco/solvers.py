@@ -94,7 +94,7 @@ class AlexrConfig:
     label: str = "alexr"
 
     def __post_init__(self):
-        if self.eta <= 0 or self.tau <= 0:
+        if not (self.eta > 0 and self.tau > 0):
             raise InvalidParameterError("eta and tau must be positive")
         if not 0.0 <= self.theta <= 1.0:
             raise InvalidParameterError("theta must lie in [0, 1]")
@@ -130,7 +130,7 @@ class BaselineConfig:
     def __post_init__(self):
         if self.variant not in _BASELINE_STEPS:
             raise InvalidParameterError(f"unknown baseline variant {self.variant!r}")
-        if self.step <= 0:
+        if not self.step > 0:
             raise InvalidParameterError("step must be positive")
         if not 0.0 < self.gamma <= 1.0:
             raise InvalidParameterError("gamma must lie in (0, 1]")

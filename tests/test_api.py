@@ -1,5 +1,5 @@
-"""The public surface: top-level names, the README quick start, and the
-modules `import fcco` loads."""
+"""The public surface: top-level names, the README quick start, the
+modules `import fcco` loads, and running without scipy."""
 
 import os
 import pathlib
@@ -44,7 +44,7 @@ def test_readme_imports_resolve():
 
 def test_import_loads_every_layer():
     # a fresh interpreter, so modules other tests imported do not count;
-    # scipy loads only when a LIBSVM file is first read or written
+    # reading a LIBSVM file leaves scipy unloaded too
     code = ("import sys, fcco, fcco.cli; "
             "print(' '.join(m for m in sys.modules if m.startswith('fcco.'))); "
             "print('scipy' in sys.modules); "
@@ -57,12 +57,12 @@ def test_import_loads_every_layer():
     ).stdout.splitlines()
     for layer in LOADED_MODULES:
         assert f"fcco.{layer}" in modules.split()
-    assert (before, after) == ("False", "True")
+    assert (before, after) == ("False", "False")
 
 
 def test_writing_dense_libsvm_does_not_load_scipy(tmp_path):
     # a fresh interpreter: writing dense rows, directly or through
-    # `fcco emit-synthetic pauc`, leaves scipy unloaded; reading loads it
+    # `fcco emit-synthetic pauc`, and reading them back leave scipy unloaded
     code = ("import io, sys, numpy as np; from fcco import cli, datasets; "
             "buf = io.StringIO(); datasets.dump_libsvm(np.eye(3), [1, -1, 1], buf); "
             "seen = ['scipy' in sys.modules]; "
@@ -76,4 +76,39 @@ def test_writing_dense_libsvm_does_not_load_scipy(tmp_path):
         [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, env=env,
         check=True,
     ).stdout.splitlines()
-    assert out == [str(tmp_path / "synthetic_pauc.libsvm"), "[False, False, True]"]
+    assert out == [str(tmp_path / "synthetic_pauc.libsvm"), "[False, False, False]"]
+
+
+def test_fcco_runs_on_numpy_alone(tmp_path):
+    # a fresh interpreter in which any scipy import fails: importing fcco
+    # loads every layer, and writing, reading and running a LIBSVM file all
+    # succeed
+    code = """
+import json, sys
+sys.modules["scipy"] = None
+import fcco, fcco.cli
+print(" ".join(m for m in sys.modules if m.startswith("fcco.")))
+out = sys.argv[1]
+print(fcco.cli.main(["--out", out, "emit-synthetic", "pauc", "--n-pos", "6", "--n-neg", "9"]))
+data = out + "/synthetic_pauc.libsvm"
+with open(data) as fh:
+    features, labels = fcco.parse_libsvm(fh)
+print(type(features).__name__, features.shape)
+config = {"problem": {"builder": "pauc_libsvm", "params": {"path": data}},
+          "solvers": [{"name": "alexr", "params": {"eta": 10.0, "tau": 1.0, "S": 2, "B": 2,
+                                                   "T": 10}}],
+          "seeds": [1], "eval_every": 5}
+with open(out + "/config.json", "w") as fh:
+    json.dump(config, fh)
+print(fcco.cli.main(["--out", out + "/run", "run", out + "/config.json"]))
+"""
+    src = str(pathlib.Path(fcco.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    modules, *out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, env=env,
+        check=True,
+    ).stdout.splitlines()
+    for layer in LOADED_MODULES:
+        assert f"fcco.{layer}" in modules.split()
+    assert out == [str(tmp_path / "synthetic_pauc.libsvm"), "0", "ndarray (15, 3)",
+                   str(tmp_path / "run" / "manifest.json"), "0"]

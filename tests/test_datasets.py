@@ -21,24 +21,26 @@ from fcco.errors import DataError, InvalidParameterError, LibsvmParseError
 # --- libsvm ---------------------------------------------------------------
 
 
+def assert_same_bits(got, expected):
+    assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_parse_libsvm_minimal_document():
-    mat, labels = parse_libsvm("+1 1:0.5 3:2.0\n-1 2:1.0\n")
-    assert mat.shape == (2, 3)
-    dense = mat.toarray()
-    assert dense[0].tolist() == [0.5, 0.0, 2.0]
-    assert dense[1].tolist() == [0.0, 1.0, 0.0]
+    features, labels = parse_libsvm("+1 1:0.5 3:2.0\n-1 2:1.0\n")
+    assert_same_bits(features, np.array([[0.5, 0.0, 2.0], [0.0, 1.0, 0.0]]))
     assert labels.tolist() == [1.0, -1.0]
 
 
 def test_parse_libsvm_empty_stream():
-    mat, labels = parse_libsvm("")
-    assert mat.shape[0] == 0
+    features, labels = parse_libsvm("")
+    assert_same_bits(features, np.zeros((0, 0)))
     assert labels.size == 0
 
 
 def test_parse_libsvm_skips_blank_lines():
-    mat, labels = parse_libsvm("\n+1 1:1\n\n-1 1:2\n\n")
-    assert mat.shape == (2, 1)
+    features, labels = parse_libsvm("\n+1 1:1\n\n-1 1:2\n\n")
+    assert_same_bits(features, np.array([[1.0], [2.0]]))
 
 
 def test_parse_libsvm_error_line_numbers():
@@ -55,7 +57,8 @@ def test_parse_libsvm_error_line_numbers():
 
 
 def test_parse_libsvm_rejects_index_beyond_int64():
-    # 2**63 does not fit the int64 CSR index arrays; 2**63 - 1 still does
+    # 2**63 does not fit the int64 index array; 2**63 - 1 does, but a dense
+    # array that wide cannot be allocated
     for doc, line_no, token in (("+1 9223372036854775808:1\n", 1, "9223372036854775808:1"),
                                 ("+1 1:1\n-1 2:1 99999999999999999999:3\n", 2,
                                  "99999999999999999999:3")):
@@ -63,8 +66,8 @@ def test_parse_libsvm_rejects_index_beyond_int64():
             parse_libsvm(doc)
         assert exc.value.line_no == line_no
         assert repr(token) in str(exc.value)
-    mat, _labels = parse_libsvm("+1 9223372036854775807:1\n")
-    assert mat.shape == (1, 2 ** 63 - 1)
+    with pytest.raises(DataError, match="^LIBSVM text: cannot allocate the 1x9223372036854775807 "):
+        parse_libsvm("+1 9223372036854775807:1\n")
 
 
 def test_parse_libsvm_rejects_non_finite_values():
@@ -85,10 +88,10 @@ def test_libsvm_round_trip_random_rows():
     labels = np.where(rng.random(1000) < 0.5, -1.0, 1.0)
     buf = io.StringIO()
     dump_libsvm(rows, labels, buf)
-    mat, parsed_labels = parse_libsvm(io.StringIO(buf.getvalue()))
+    features, parsed_labels = parse_libsvm(io.StringIO(buf.getvalue()))
     assert parsed_labels.tolist() == labels.tolist()
     dense = np.zeros_like(rows)
-    dense[:, : mat.shape[1]] = mat.toarray()
+    dense[:, : features.shape[1]] = features
     assert np.array_equal(dense, rows)
 
 
@@ -198,3 +201,6 @@ def test_dataset_validation():
                        group_of=np.array([0, 0]), n_groups=1)
     with pytest.raises(InvalidParameterError):
         PaucDataset(positives=np.zeros((2, 1)), negatives=np.zeros((3, 1)), alpha=0.9)
+    # no negative to rank a positive against: sampling one would fail later
+    with pytest.raises(DataError, match="^pAUC data holds no negatives$"):
+        PaucDataset(positives=np.zeros((4, 1)), negatives=np.zeros((0, 1)), alpha=0.5)

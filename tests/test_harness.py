@@ -242,6 +242,23 @@ def test_validate_config_rejects_colliding_best_cell_keys(tmp_path, capsys, solv
     # solver column says the solver's name
     (lambda c: c["solvers"][0].update(label=""), "solvers[0].label", "nonempty"),
     (lambda c: c["solvers"][0].update(label="a\rb"), "solvers[0].label", "carriage return"),
+    # NaN fails every range comparison, so it must fail as a value
+    (lambda c: c.update(problem={"builder": "gdro_synthetic",
+                                 "params": {"weight_decay": math.nan}}),
+     "problem.params.weight_decay", "got nan"),
+    (lambda c: c["problem"]["params"].update(nu=math.nan), "problem.params.nu", "got nan"),
+    (lambda c: c["solvers"][0].update(params={"preset": "strongly_convex", "mu": math.nan}),
+     "solvers[0].params.mu", "got nan"),
+    (lambda c: c["solvers"][0].update(grid={"theta_margin": [0.5, math.nan]},
+                                      params={"preset": "strongly_convex", "theta": 0.5}),
+     "solvers[0].grid.theta_margin", "got nan"),
+    # where a cell's own range check reads the value, that check names it
+    (lambda c: c["solvers"][0]["params"].update(eta=math.nan), "solvers[0]",
+     "cell 'alexr': eta and tau must be positive"),
+    (lambda c: c["solvers"][1]["params"].update(step=math.nan), "solvers[1]",
+     "cell 'bsgd': step must be positive"),
+    (lambda c: c["solvers"][0].update(grid={"tau": [1.0, math.nan]}), "solvers[0]",
+     "cell 'alexr[tau=nan]': eta and tau must be positive"),
 ])
 def test_validate_config_rejects_wrong_typed_values(tmp_path, capsys, edit, field, kind):
     # values of the wrong kind fail at validation with exit 1, not as a
@@ -744,6 +761,18 @@ def test_cli_libsvm_too_wide_to_densify_exits_cleanly(tmp_path, capsys):
     assert str(data) in err and "2x9223372036854775807" in err
 
 
+def test_cli_pauc_libsvm_without_negatives_exits_cleanly(tmp_path, capsys):
+    # validate does not read the file; run refuses it before sampling a
+    # negative from an empty set
+    data = tmp_path / "positives.svm"
+    data.write_text("+1 1:1\n+1 1:2 2:1\n+1 2:3\n")
+    config = dict(BASE_CONFIG, problem={"builder": "pauc_libsvm", "params": {"path": str(data)}})
+    path = write_config(tmp_path, config)
+    assert cli_main(["--out", str(tmp_path / "out"), "validate", path]) == 0
+    assert cli_main(["--out", str(tmp_path / "out"), "run", path]) == 2
+    assert capsys.readouterr().err == "error: pAUC data holds no negatives\n"
+
+
 @pytest.mark.parametrize("rows, message", [
     ("1.0,1,a\n2.0,0\n", "line 3: field count differs from the header's"),
     ("1.0,1,a\n2.0,0,b,c\n", "line 3: field count differs from the header's"),
@@ -779,8 +808,8 @@ def test_cli_emit_synthetic_pauc(tmp_path, capsys):
     out_path = capsys.readouterr().out.strip()
     from fcco.datasets import load_libsvm
 
-    mat, labels = load_libsvm(out_path)
-    assert mat.shape[0] == 10
+    features, labels = load_libsvm(out_path)
+    assert features.shape == (10, 2)
     assert (labels > 0).sum() == 4
 
 

@@ -429,6 +429,19 @@ def test_sox_reduction_matches_alexr_conjugate():
         assert np.allclose(s_a.table, s_s.table, atol=1e-12)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: AlexrConfig(eta=math.nan, tau=1.0, theta=1.0, S=1, B=1, T=1),
+     "eta and tau must be positive"),
+    (lambda: AlexrConfig(eta=1.0, tau=math.nan, theta=1.0, S=1, B=1, T=1),
+     "eta and tau must be positive"),
+    (lambda: BaselineConfig("sox", step=math.nan), "step must be positive"),
+])
+def test_configs_refuse_nan_step_sizes(make, message):
+    # a NaN step fails every comparison, so it would pass a `<= 0` check
+    with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+        make()
+
+
 # --- msvr ------------------------------------------------------------------
 
 
