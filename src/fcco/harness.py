@@ -220,7 +220,8 @@ def _check_targets(at, entry, params, epsilons):
     preset = params.get("preset") if entry["name"] == "alexr" else None
     cell = {**_solver_params("alexr", preset), **params}
     margin = cell.get("theta_margin")  # only the strongly convex preset has one
-    if preset is None or (margin is not None and cell["theta"] is not None):
+    # a NaN margin is left to validate_config's NaN pass, which names it
+    if preset is None or (margin is not None and (cell["theta"] is not None or margin != margin)):
         return  # no target, or one that an explicit theta leaves unread
     where = "grid" if "epsilon" in entry.get("grid", {}) else "params"
     for path, eps in [(f"{at}.{where}.epsilon", cell["epsilon"])] + [
@@ -449,10 +450,10 @@ def run_experiment(config, out_dir):
 
     Files are written only after every cell has run, and partial files are
     removed on failure."""
-    os.makedirs(out_dir, exist_ok=True)
-    # One build up front and one per cell: the traced benchmark pins these
-    # 1 + cells x seeds builds until problems are built once (ROADMAP item 2).
+    # One build up front, before out_dir exists, and one per cell: the traced
+    # benchmark pins these 1 + cells x seeds builds (ROADMAP item 2).
     _build(config.problem)
+    os.makedirs(out_dir, exist_ok=True)
     cells = [(entry, cell) for entry in config.solvers for cell in expand_solver_grid(entry)]
     jobs = [(label, name, params, seed)
             for _entry, (label, name, params) in cells for seed in config.seeds]
@@ -562,8 +563,8 @@ def sweep_rate(config, out_dir):
     entry = config.solvers[0]
     if entry.get("grid"):
         raise ConfigValidationError("solvers[0].grid", "sweep-rate takes no grid")
-    os.makedirs(out_dir, exist_ok=True)
     built = _build(config.problem)
+    os.makedirs(out_dir, exist_ok=True)
     entries = []
     for eps in config.epsilons:
         params = dict(entry.get("params", {}))

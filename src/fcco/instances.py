@@ -112,18 +112,17 @@ class AffineScalarOracle(InnerOracle):
 
 class CoordinateNoiseKernel:
     """Vectorized sampled-block backend that `ProblemInstance` derives when
-    its inners are the n coordinate oracles 0..n-1 with one shared noise and
-    one shared outer.  A block-solver step calls `draw` once for all sampled
-    blocks (one noise draw of shape (S, 2, B), the same stream as the
-    per-block path's value-then-Jacobian batches), `value_noise` once,
+    its inners are the n coordinate oracles 0..n-1 with one shared noise.  A
+    block-solver step calls `draw` once for all sampled blocks (one noise
+    draw of shape (S, 2, B), the same stream as the per-block path's
+    value-then-Jacobian batches), `value_noise` once,
     `values` once at x_t and once more at x_{t-1} when the rule extrapolates
     or corrects, and `accumulate_grad` once; the solver's block rule then
-    runs elementwise on `shared_outer`.  Every block solver (alexr, sox,
+    runs elementwise on the problem's outer.  Every block solver (alexr, sox,
     msvr, bsgd) reproduces its per-block results bitwise on this path."""
 
-    def __init__(self, noise, shared_outer):
+    def __init__(self, noise):
         self.noise = noise
-        self.shared_outer = shared_outer
 
     def draw(self, rng, n_blocks, batch_size):
         return self.noise.draw(rng, (n_blocks, 2, batch_size))
@@ -167,7 +166,7 @@ def build_hard_smooth(n, nu, sigma):
     if not 0.0 < nu < 1.0:
         raise InvalidParameterError(f"nu must lie in (0, 1), got {nu}")
     noise = TwoPointNoise(nu, sigma)
-    problem = ProblemInstance(n=n, dim=n, outers=[HuberHard(nu)] * n,
+    problem = ProblemInstance(n=n, dim=n, outer=HuberHard(nu),
                               inners=[CoordinateNoiseOracle(i, noise) for i in range(n)],
                               regularizer=Regularizer(l2_coeff=1.0 / (2.0 * n)),
                               domain=BoxDomain.symmetric(1.0, n))
@@ -184,7 +183,7 @@ def build_hard_nonsmooth(n, nu, beta, alpha_reg, sigma):
     if alpha_reg < 0:
         raise InvalidParameterError("alpha_reg must be nonnegative")
     noise = TwoPointNoise(nu, sigma)
-    problem = ProblemInstance(n=n, dim=n, outers=[HingeHard(beta, nu)] * n,
+    problem = ProblemInstance(n=n, dim=n, outer=HingeHard(beta, nu),
                               inners=[CoordinateNoiseOracle(i, noise) for i in range(n)],
                               regularizer=Regularizer(l2_coeff=alpha_reg / n),
                               domain=BoxDomain.symmetric(2.0 * nu, n))
@@ -334,7 +333,7 @@ def build_gdro(data, divergence="cvar", alpha=None, lam=1.0, weight_decay=0.0,
         return {"worst_group_risk": worst_fraction_group_metric(risks, worst_share, mode="mean")}
 
     return ProblemInstance(
-        n=data.n_groups, dim=dim, outers=[outer] * data.n_groups, inners=inners,
+        n=data.n_groups, dim=dim, outer=outer, inners=inners,
         regularizer=reg, domain=domain, flat_view=view, aux_metrics=aux_metrics,
     )
 
@@ -461,7 +460,7 @@ def build_pauc(data, surrogate="squared_hinge", weight_decay=0.0):
     linear[-1] = 1.0
     reg = Regularizer(l2_coeff=l2, linear=linear)
     return ProblemInstance(
-        n=n_pos, dim=dim, outers=[outer] * n_pos, inners=inners,
+        n=n_pos, dim=dim, outer=outer, inners=inners,
         regularizer=reg, domain=BoxDomain.unbounded(dim),
     )
 
@@ -477,7 +476,7 @@ def build_cvar_scalar(risks, alpha):
     reg = Regularizer(l2_coeff=0.0, linear=np.array([1.0]))
     lo, hi = float(risks.min()) - 1.0, float(risks.max()) + 1.0
     problem = ProblemInstance(
-        n=n, dim=1, outers=[outer] * n, inners=inners, regularizer=reg,
+        n=n, dim=1, outer=outer, inners=inners, regularizer=reg,
         domain=BoxDomain(lo, hi, 1),
     )
     # exact minimizer over c: derivative 1 - #{r_i > c}/(alpha*n) crosses zero

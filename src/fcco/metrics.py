@@ -71,30 +71,29 @@ class DualRadiusReport:
 
 
 def compute_dual_witness(problem, x_bar):
-    """Block-wise maximizer of v*g_i(x_bar) - f_i*(v), i.e. a subgradient of
-    f_i at the exact inner value (midpoint convention at kinks)."""
-    return np.array([
-        float(f.subgradient(g.exact_value(x_bar)))
-        for f, g in zip(problem.outers, problem.inners)
-    ])
+    """Block-wise maximizer of v*g_i(x_bar) - f*(v), i.e. a subgradient of
+    f at the exact inner value (midpoint convention at kinks)."""
+    f = problem.outer
+    return np.array([float(f.subgradient(g.exact_value(x_bar))) for g in problem.inners])
 
 
 def dual_radius(problem, y_tilde, y0, psi_mode="quadratic"):
     """Sum over blocks of the distance-generating divergence between the
-    witness table and the initial table, with its worst case sum_i C_f_i^2/2
-    and the fraction of zero witness blocks."""
+    witness table and the initial table, with its worst case n*C_f^2/2 and
+    the fraction of zero witness blocks."""
+    f = problem.outer
     y_tilde = np.asarray(y_tilde, dtype=float)
     y0 = np.asarray(y0, dtype=float)
     if psi_mode == "quadratic":
         omega = 0.5 * float(np.sum((y_tilde - y0) ** 2))
     elif psi_mode == "conjugate":
         omega = 0.0
-        for f, yt, y_init in zip(problem.outers, y_tilde, y0):
+        for yt, y_init in zip(y_tilde, y0):
             omega += (float(f.conjugate_value(yt)) - float(f.conjugate_value(y_init))
                       - float(f.conjugate_grad(y_init)) * (yt - y_init))
     else:
         raise InvalidParameterError(f"unknown psi_mode {psi_mode!r}")
-    worst = 0.5 * float(sum(f.lipschitz ** 2 for f in problem.outers))
+    worst = 0.5 * problem.n * f.lipschitz ** 2
     sparsity = float(np.mean(np.abs(y_tilde) <= 1e-12))
     return DualRadiusReport(omega_y0=omega, worst_case=worst, sparsity_fraction=sparsity)
 

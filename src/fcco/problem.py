@@ -1,14 +1,14 @@
 """Problem abstraction: composite finite-sum objectives, their saddle form,
 box domains, regularizers, and sampling utilities.
 
-A problem bundles n outer transforms f_i, n stochastic inner oracles g_i, a
+A problem bundles one outer transform f, n stochastic inner oracles g_i, a
 quadratic-plus-linear regularizer r, and a box domain.  The objective is
 
-    F(x) = (1/n) * sum_i f_i(g_i(x)) + r(x)
+    F(x) = (1/n) * sum_i f(g_i(x)) + r(x)
 
 and its saddle counterpart, used by the primal-dual solvers, is
 
-    L(x, y) = (1/n) * sum_i [ g_i(x) * y_i - f_i*(y_i) ] + r(x).
+    L(x, y) = (1/n) * sum_i [ g_i(x) * y_i - f*(y_i) ] + r(x).
 
 Every inner map has a scalar output, so the dual table is a length-n
 vector with one block per component.
@@ -29,6 +29,7 @@ from .errors import (
     InvalidParameterError,
     UnsupportedExactEvaluationError,
 )
+from .outers import OuterFunction
 
 
 class BoxDomain:
@@ -158,7 +159,8 @@ class FlatSampleView(ABC):
 
 @dataclass
 class ProblemInstance:
-    """The tuple (f_i, g_i, r, X) with exact evaluation and sampling support.
+    """The tuple (f, g_i, r, X) with exact evaluation and sampling support:
+    one `OuterFunction` f shared by every component.
 
     A block solver keeps one scalar per component in its state's `table`
     (see `solvers.init_state`): the dual values y_i for quadratic ALEXR, the
@@ -175,8 +177,8 @@ class ProblemInstance:
     the `solvers` module docstring); otherwise it is None.
 
     When each inner i is exactly an `instances.CoordinateNoiseOracle` with
-    index i, all sharing one noise object, and all outers are one object (as
-    in the hard-instance builders), `kernel` is their vectorized backend
+    index i, all sharing one noise object (as in the hard-instance
+    builders), `kernel` is their vectorized backend
     `instances.CoordinateNoiseKernel`: every block solver (alexr, sox, msvr,
     bsgd) then handles a step's sampled blocks in one call per kernel method
     instead of one oracle call per block, with the same random stream and
@@ -187,7 +189,7 @@ class ProblemInstance:
 
     n: int
     dim: int
-    outers: Sequence
+    outer: OuterFunction
     inners: Sequence[InnerOracle]
     regularizer: Regularizer
     domain: BoxDomain
@@ -197,26 +199,28 @@ class ProblemInstance:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidParameterError("n must be at least 1")
-        if len(self.outers) != self.n or len(self.inners) != self.n:
-            raise InvalidParameterError("outers and inners must both have length n")
+        if not isinstance(self.outer, OuterFunction):
+            raise InvalidParameterError(
+                f"outer must be one OuterFunction, got {type(self.outer).__name__}")
+        if len(self.inners) != self.n:
+            raise InvalidParameterError("inners must have length n")
         if self.domain.dim != self.dim:
             raise InvalidParameterError("domain dimension does not match primal dimension")
-        for i, (f, g) in enumerate(zip(self.outers, self.inners)):
-            if not (g.is_affine or f.is_monotone):
-                raise InvalidParameterError(
-                    f"component {i}: nonlinear inner requires a nonnegative dual domain"
-                )
+        nonlinear = next((i for i, g in enumerate(self.inners) if not g.is_affine), None)
+        if nonlinear is not None and not self.outer.is_monotone:
+            raise InvalidParameterError(
+                f"component {nonlinear}: nonlinear inner requires a nonnegative dual domain")
         self.supports_exact = all(g.supports_exact for g in self.inners)
         self.population_sizes = None
         if all(isinstance(g, IndexBatchOracle) for g in self.inners):
             self.population_sizes = np.array([g.size for g in self.inners], dtype=np.int64)
         from .instances import CoordinateNoiseKernel, CoordinateNoiseOracle  # imports this module
 
-        noise, outer = getattr(self.inners[0], "noise", None), self.outers[0]
+        noise = getattr(self.inners[0], "noise", None)
         self.kernel = None
         if all(type(g) is CoordinateNoiseOracle and g.index == i and g.noise is noise
-               and f is outer for i, (g, f) in enumerate(zip(self.inners, self.outers))):
-            self.kernel = CoordinateNoiseKernel(noise, outer)
+               for i, g in enumerate(self.inners)):
+            self.kernel = CoordinateNoiseKernel(noise)
 
     def initial_point(self):
         return self.domain.project(np.zeros(self.dim))
@@ -230,8 +234,8 @@ def evaluate_objective(problem, x):
         raise DomainViolationError("x lies outside the box domain")
     if not problem.supports_exact:
         raise UnsupportedExactEvaluationError("an inner oracle lacks exact evaluation")
-    total = 0.0
-    for f, g in zip(problem.outers, problem.inners):
+    f, total = problem.outer, 0.0
+    for g in problem.inners:
         total += float(f.value(g.exact_value(x)))
     return total / problem.n + problem.regularizer.value(x)
 
@@ -239,8 +243,8 @@ def evaluate_objective(problem, x):
 def evaluate_saddle(problem, x, y):
     """Saddle value L(x, y) for a length-n array y of dual values."""
     x = np.asarray(x, dtype=float)
-    total = 0.0
-    for f, g, yi in zip(problem.outers, problem.inners, y):
+    f, total = problem.outer, 0.0
+    for g, yi in zip(problem.inners, y):
         total += float(g.exact_value(x)) * float(yi) - float(f.conjugate_value(yi))
     return total / problem.n + problem.regularizer.value(x)
 

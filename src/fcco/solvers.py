@@ -13,7 +13,7 @@ The main solver alternates, per iteration:
   4. take a proximal gradient step on the primal variable.
 
 Two dual distance-generating choices are supported: `quadratic` uses the
-closed-form dual prox of each outer function; `conjugate` (smooth outers
+closed-form dual prox of the outer function; `conjugate` (a smooth outer
 only) tracks the scalar sequence u via u' = (tau*u + g~)/(1 + tau) and sets
 y = f'(u').  Baselines: plug-in biased SGD (bsgd), moving-average tracking
 (sox), its variance-corrected variant (msvr), and flat-sample SGD with
@@ -31,9 +31,10 @@ holds
 The config's `psi_mode` or `variant` says which; `init_state` builds it.
 
 One step engine, `_block_step`, runs ALEXR, sox, msvr and bsgd; each solver
-supplies only its elementwise block rule (g_now, g_prev, table) -> (table',
-y): the dual prox or u-tracking with extrapolation, the moving average, the
-msvr-corrected moving average, or the plug-in subgradient.
+supplies only its elementwise block rule (table, g_now, g_prev) -> (table',
+y) on the problem's one outer f: the dual prox or u-tracking with
+extrapolation, the moving average, the msvr-corrected moving average, or the
+plug-in subgradient.
 
 Randomness ordering contract (relied on by the equivalence tests): each
 iteration consumes, in order, the outer-batch draw, then for each sampled
@@ -77,7 +78,7 @@ class AlexrConfig:
     theta       extrapolation weight in [0, 1]
     S, B        outer and inner batch sizes
     T           iteration budget (exact; never truncated)
-    psi_mode    'quadratic' or 'conjugate' (smooth outers only)
+    psi_mode    'quadratic' or 'conjugate' (a smooth outer only)
     averaging   which iterate the run reports as its output measure:
                 'last' or 'uniform'
     """
@@ -197,31 +198,25 @@ class SolverState:
     oracle_count: int = 0
 
 
-def _initial_dual(f):
-    lo, hi = f.dual_domain()
-    return 0.0 if lo <= 0.0 <= hi else lo
-
-
-def _u_anchor(f):
-    try:
-        return float(f.conjugate_grad(_initial_dual(f)))
-    except NotSmoothError:
-        return 0.0
-
-
 def init_state(cfg, problem):
     """x0 = 0 box-projected.  y0 = 0 where feasible, else the dual lower
     endpoint.  The u anchor is f*'(y0), so that f'(u0) = y0, where the
     conjugate gradient exists, else 0; conjugate mode raises NotSmoothError
-    unless every outer function is smooth."""
+    unless the outer function is smooth."""
     x0 = problem.initial_point()
     kind = cfg.psi_mode if isinstance(cfg, AlexrConfig) else cfg.variant
-    if kind == PSI_CONJUGATE and not all(f.is_smooth for f in problem.outers):
-        raise NotSmoothError("conjugate mode requires every outer function smooth")
+    f = problem.outer
+    if kind == PSI_CONJUGATE and not f.is_smooth:
+        raise NotSmoothError("conjugate mode requires a smooth outer function")
+    y0 = 0.0 if f.lo <= 0.0 <= f.hi else f.lo
     if kind == PSI_QUADRATIC:
-        table = np.array([_initial_dual(f) for f in problem.outers], dtype=float)
+        table = np.full(problem.n, y0)
     elif kind in (PSI_CONJUGATE, "sox", "msvr"):
-        table = np.array([_u_anchor(f) for f in problem.outers], dtype=float)
+        try:
+            u0 = float(f.conjugate_grad(y0))
+        except NotSmoothError:
+            u0 = 0.0
+        table = np.full(problem.n, u0)
     else:
         table = None
     return SolverState(x=x0, x_prev=x0.copy(), table=table, t=0,
@@ -242,7 +237,7 @@ def _block_step(state, problem, S, B, eta, rule, needs_prev):
 
     Samples the outer batch, draws each sampled block's value and Jacobian
     batches, and estimates g_now = g(x_t; B) (and g_prev = g(x_{t-1}; B) on
-    the same batch when `needs_prev`).  `rule(f, table_slice, g_now, g_prev)`
+    the same batch when `needs_prev`).  `rule(table_slice, g_now, g_prev)`
     returns the new table entries and the dual weights y; `state.table`
     (None when the solver keeps none) is updated in place at the sampled
     blocks.  The Jacobian-transpose products at the second batch with
@@ -262,7 +257,7 @@ def _block_step(state, problem, S, B, eta, rule, needs_prev):
         noise = kern.value_noise(z)
         g_now = kern.values(state.x, idx, noise)
         g_prev = kern.values(state.x_prev, idx, noise) if needs_prev else None
-        new, y = rule(kern.shared_outer, None if table is None else table[idx], g_now, g_prev)
+        new, y = rule(None if table is None else table[idx], g_now, g_prev)
         if table is not None:
             table[idx] = new
         kern.accumulate_grad(G, state.x, idx, z[:, 1, :], y, 1.0 / S)
@@ -280,7 +275,7 @@ def _block_step(state, problem, S, B, eta, rule, needs_prev):
                 b_val, b_jac = batches[k, 0], batches[k, 1]
             g_now = orc.stochastic_value(state.x, b_val)
             g_prev = orc.stochastic_value(state.x_prev, b_val) if needs_prev else None
-            new, y = rule(problem.outers[i], None if table is None else table[i], g_now, g_prev)
+            new, y = rule(None if table is None else table[i], g_now, g_prev)
             if table is not None:
                 table[i] = new
             orc.accumulate_jtvp(G, state.x, b_jac, y, 1.0 / S)
@@ -296,16 +291,16 @@ def alexr_step(state, cfg, problem):
     """One full iteration: extrapolated estimate g~ = g_now + theta*(g_now -
     g_prev), then the quadratic dual prox or the conjugate u-tracking step
     on each sampled block; mutates and returns `state`."""
-    theta, tau = cfg.theta, cfg.tau
+    f, theta, tau = problem.outer, cfg.theta, cfg.tau
 
     def extrapolate(g_now, g_prev):
         return g_now + theta * (g_now - g_prev) if theta != 0.0 else g_now
 
     if cfg.psi_mode == PSI_CONJUGATE:
-        def rule(f, u, g_now, g_prev):
+        def rule(u, g_now, g_prev):
             return dual_update_conjugate(f, u, extrapolate(g_now, g_prev), tau)
     else:
-        def rule(f, y, g_now, g_prev):
+        def rule(y, g_now, g_prev):
             y_new = f.prox_dual_quadratic(y, extrapolate(g_now, g_prev), tau)
             return y_new, y_new
     return _block_step(state, problem, cfg.S, cfg.B, cfg.eta, rule, theta != 0.0)
@@ -329,9 +324,9 @@ def _outer_slope(f, u, allow_subgradient):
 def sox_step(state, cfg, problem):
     """Moving-average inner tracking: u' = (1-gamma)*u + gamma*g(x; B) for
     sampled blocks, gradient through f'(u'), proximal primal step."""
-    gamma, fallback = cfg.gamma, cfg.subgradient_fallback
+    f, gamma, fallback = problem.outer, cfg.gamma, cfg.subgradient_fallback
 
-    def rule(f, u, g_now, _g_prev):
+    def rule(u, g_now, _g_prev):
         u_new = (1.0 - gamma) * u + gamma * g_now
         return u_new, _outer_slope(f, u_new, fallback)
     return _block_step(state, problem, cfg.S, cfg.B, cfg.step, rule, False)
@@ -341,23 +336,21 @@ def msvr_step(state, cfg, problem):
     """sox tracking plus the staleness correction
     beta * (g(x_t; B) - g(x_{t-1}; B)) with beta = (n-S)/(S*(1-gamma)) + 1-gamma.
     Non-smooth outer functions always fall back to subgradients here."""
-    gamma = cfg.gamma
+    f, gamma = problem.outer, cfg.gamma
     beta = msvr_beta(problem.n, cfg.S, gamma)
 
-    def rule(f, u, g_now, g_prev):
+    def rule(u, g_now, g_prev):
         u_new = (1.0 - gamma) * u + gamma * g_now + beta * (g_now - g_prev)
         return u_new, _outer_slope(f, u_new, True)
     return _block_step(state, problem, cfg.S, cfg.B, cfg.step, rule, True)
 
 
-def _plugin_rule(f, _table, g_now, _g_prev):
-    return None, f.subgradient(g_now)
-
-
 def bsgd_step(state, cfg, problem):
     """Plug-in biased estimator: y = f'(g(x; B)) from one batch, Jacobian
     from an independent batch, proximal primal step; no dual state."""
-    return _block_step(state, problem, cfg.S, cfg.B, cfg.step, _plugin_rule, False)
+    f = problem.outer
+    return _block_step(state, problem, cfg.S, cfg.B, cfg.step,
+                       lambda _table, g_now, _g_prev: (None, f.subgradient(g_now)), False)
 
 
 def sgd_step(state, cfg, problem):
@@ -430,7 +423,7 @@ def _dual_norm(solver, state, problem):
         return 0.0
     y = state.table
     if solver.psi_mode == PSI_CONJUGATE:
-        y = np.array([f.grad(u) for f, u in zip(problem.outers, y)])
+        y = problem.outer.grad(y)
     return float(np.linalg.norm(y))
 
 

@@ -137,7 +137,7 @@ def test_03_representation_equivalence():
                                noise=GaussianNoise(0.5))
             for _ in range(n)
         ]
-        problem = ProblemInstance(n=n, dim=dim, outers=[outer] * n, inners=inners,
+        problem = ProblemInstance(n=n, dim=dim, outer=outer, inners=inners,
                                   regularizer=Regularizer(l2_coeff=0.2),
                                   domain=BoxDomain.unbounded(dim))
         cfg = AlexrConfig(eta=eta, tau=tau, theta=theta, S=S, B=B, T=T,
@@ -396,7 +396,7 @@ def test_11_dual_radius_sparsity():
     problem, c_star = build_cvar_scalar(risks, alpha=alpha)
     witness = compute_dual_witness(problem, np.array([c_star]))
     rep = dual_radius(problem, witness, np.zeros(n))
-    cap = problem.outers[0].lipschitz
+    cap = problem.outer.lipschitz
     target = n * alpha * cap ** 2 / 2.0
     ok_omega = abs(rep.omega_y0 - target) <= 0.2 * target
     ok_sparse = abs(rep.sparsity_fraction - (1.0 - alpha)) <= 0.05

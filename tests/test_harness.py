@@ -252,6 +252,10 @@ def test_validate_config_rejects_colliding_best_cell_keys(tmp_path, capsys, solv
     (lambda c: c["solvers"][0].update(grid={"theta_margin": [0.5, math.nan]},
                                       params={"preset": "strongly_convex", "theta": 0.5}),
      "solvers[0].grid.theta_margin", "got nan"),
+    # with theta derived from it, a NaN margin used to fail as a bad epsilon
+    (lambda c: c["solvers"][0].update(params={"preset": "strongly_convex",
+                                              "theta_margin": math.nan}),
+     "solvers[0].params.theta_margin", "got nan"),
     # where a cell's own range check reads the value, that check names it
     (lambda c: c["solvers"][0]["params"].update(eta=math.nan), "solvers[0]",
      "cell 'alexr': eta and tau must be positive"),
@@ -771,6 +775,16 @@ def test_cli_pauc_libsvm_without_negatives_exits_cleanly(tmp_path, capsys):
     assert cli_main(["--out", str(tmp_path / "out"), "validate", path]) == 0
     assert cli_main(["--out", str(tmp_path / "out"), "run", path]) == 2
     assert capsys.readouterr().err == "error: pAUC data holds no negatives\n"
+    assert not (tmp_path / "out").exists()  # the build fails before out_dir is made
+
+
+def test_cli_sweep_rate_with_a_missing_data_file_makes_no_output_directory(tmp_path, capsys):
+    config = dict(CONVERGING_SWEEP, problem={"builder": "gdro_csv",
+                                             "params": {"path": str(tmp_path / "missing.csv")}})
+    path = write_config(tmp_path, config)
+    assert cli_main(["--out", str(tmp_path / "sweep"), "sweep-rate", path]) == 2
+    assert "missing.csv" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
 
 
 @pytest.mark.parametrize("rows, message", [

@@ -68,7 +68,7 @@ def test_hard_smooth_grid_minimum_matches_closed_form():
     # separable: scan one coordinate of F over the box
     inst = build_hard_smooth(3, 0.45, 1.2)
     grid = np.linspace(-1, 1, 200_001)
-    f = inst.problem.outers[0]
+    f = inst.problem.outer
     per_coord = np.asarray(f.value(grid)) + 0.25 * grid ** 2
     best = grid[np.argmin(per_coord)]
     assert best == pytest.approx(-2 * 0.45 / 3, abs=1e-5)
@@ -85,7 +85,7 @@ def test_hard_smooth_separable_gradient():
         e = np.zeros(5)
         e[j] = h
         fd = (evaluate_objective(inst.problem, x + e) - evaluate_objective(inst.problem, x - e)) / (2 * h)
-        f = inst.problem.outers[j]
+        f = inst.problem.outer
         expect = (float(f.grad(x[j])) + 0.5 * x[j]) / 5
         assert fd == pytest.approx(expect, abs=1e-5)
 
@@ -115,7 +115,7 @@ def test_hard_nonsmooth_gap_bound_at_zero():
 def test_hard_nonsmooth_grid_minimum():
     inst = build_hard_nonsmooth(2, 0.5, 1.0, 1.0, 1.0)
     grid = np.linspace(-1.0, 1.0, 400_001)
-    f = inst.problem.outers[0]
+    f = inst.problem.outer
     per_coord = np.asarray(f.value(grid)) + 0.5 * 1.0 * grid ** 2
     assert grid[np.argmin(per_coord)] == pytest.approx(-0.5, abs=1e-5)
     assert per_coord.min() == pytest.approx(inst.f_star, abs=1e-6)
@@ -245,7 +245,7 @@ def test_gdro_chi2_cap_covers_every_reachable_gradient(small_gdro_data, lam):
     # values u = (R - c)/lam in [-1, (risk_bound + lam)/lam]; on all of them
     # the outer is the uncapped quadratic lam*((u + 2)^2/4 - 1)
     risk_bound = 4.0
-    f = build_gdro(small_gdro_data, divergence="chi2", lam=lam, risk_bound=risk_bound).outers[0]
+    f = build_gdro(small_gdro_data, divergence="chi2", lam=lam, risk_bound=risk_bound).outer
     lo, hi = f.dual_domain()
     for u in np.linspace(-1.0, (risk_bound + lam) / lam, 101):
         assert lo <= f.grad(u) <= hi

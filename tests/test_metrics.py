@@ -122,7 +122,7 @@ def test_dual_radius_zero_when_witness_matches_start():
 
 def test_dual_radius_worst_case_attained():
     problem, _c = build_cvar_scalar(np.linspace(0.1, 1.0, 8), alpha=0.5)
-    cap = problem.outers[0].lipschitz
+    cap = problem.outer.lipschitz
     report = dual_radius(problem, np.full(8, cap), np.zeros(8))
     assert report.omega_y0 == pytest.approx(report.worst_case)
     assert report.worst_case == pytest.approx(8 * cap ** 2 / 2)

@@ -486,21 +486,18 @@ def test_parameter_validation():
         ChiSquareOuter(-1.0, 4.0)
 
 
-# --- the declared builder outers against the hand-written ones ------------
+# --- the declared builder outer functions against the hand-written ones ---
 
 
-class HandWrittenOuter:
-    """An outer function given by separately written methods."""
+class HandWrittenOuter(OuterFunction):
+    """An outer function given by separately written methods; only what
+    reads its dual interval [lo, hi] comes from `OuterFunction`."""
 
     def __init__(self, lo, hi, value, slope, prox, conjugate_grad=None):
         self.lo, self.hi = lo, hi
         self.value, self.subgradient, self.grad, self.prox_dual_quadratic = value, slope, slope, prox
         self.is_smooth = conjugate_grad is not None
-        self.is_monotone = lo >= 0
         self._conjugate_grad = conjugate_grad
-
-    def dual_domain(self):
-        return (self.lo, self.hi)
 
     def conjugate_grad(self, y):
         if self._conjugate_grad is None:
@@ -575,9 +572,8 @@ def test_declared_builder_outers_reproduce_the_hand_written_ones_bitwise(family)
     from fcco.solvers import AlexrConfig, BaselineConfig
 
     problem = built_problem(family)
-    outer = problem.outers[0]
-    assert all(f is outer for f in problem.outers)
-    reference = replace(problem, outers=[hand_written(outer)] * problem.n)
+    outer = problem.outer
+    reference = replace(problem, outer=hand_written(outer))
     assert (problem.kernel is None) == (reference.kernel is None)
     steps = dict(S=3, B=2, T=200, seed=1)
     configs = [AlexrConfig(eta=5.0, tau=2.5, theta=theta, psi_mode=mode, **steps)

@@ -36,12 +36,11 @@ from fcco.problem import (
 )
 
 
-def scalar_problem(outers, offsets, reg=None, box=None):
+def scalar_problem(outer, offsets, reg=None, box=None):
     """n scalar components g_i(x) = x + b_i on a 1-d primal variable."""
-    n = len(outers)
     inners = [AffineScalarOracle(a=[1.0], b=b) for b in offsets]
     return ProblemInstance(
-        n=n, dim=1, outers=outers, inners=inners,
+        n=len(offsets), dim=1, outer=outer, inners=inners,
         regularizer=reg or Regularizer(),
         domain=box or BoxDomain.unbounded(1),
     )
@@ -57,7 +56,7 @@ def test_hard_smooth_objective_at_known_minimizer():
 
 def test_zero_problem_objective():
     prob = ProblemInstance(
-        n=3, dim=2, outers=[Identity()] * 3,
+        n=3, dim=2, outer=Identity(),
         inners=[AffineScalarOracle(a=[0.0, 0.0], b=0.0)] * 3,
         regularizer=Regularizer(), domain=BoxDomain.unbounded(2),
     )
@@ -67,14 +66,14 @@ def test_zero_problem_objective():
 
 def test_two_hinge_objective():
     # f_i(u) = (u)_+, g_1 = x - 1, g_2 = x + 1 evaluated at x = 0
-    prob = scalar_problem([PositivePart()] * 2, [-1.0, 1.0])
+    prob = scalar_problem(PositivePart(), [-1.0, 1.0])
     brute = 0.5 * (max(0.0 - 1.0, 0.0) + max(0.0 + 1.0, 0.0))
     assert evaluate_objective(prob, np.zeros(1)) == pytest.approx(0.5)
     assert brute == 0.5
 
 
 def test_objective_rejects_points_outside_box():
-    prob = scalar_problem([PositivePart()], [0.0], box=BoxDomain(-1.0, 1.0, 1))
+    prob = scalar_problem(PositivePart(), [0.0], box=BoxDomain(-1.0, 1.0, 1))
     with pytest.raises(DomainViolationError):
         evaluate_objective(prob, np.array([2.0]))
 
@@ -86,7 +85,7 @@ def test_objective_requires_exact_oracles():
         supports_exact = False
 
     prob = ProblemInstance(
-        n=1, dim=1, outers=[PositivePart()],
+        n=1, dim=1, outer=PositivePart(),
         inners=[StreamOnlyOracle(a=[1.0])],
         regularizer=Regularizer(), domain=BoxDomain.unbounded(1),
     )
@@ -98,12 +97,12 @@ def test_objective_requires_exact_oracles():
 
 
 def test_saddle_zero_dual():
-    prob = scalar_problem([PositivePart()] * 2, [-1.0, 1.0])
+    prob = scalar_problem(PositivePart(), [-1.0, 1.0])
     assert evaluate_saddle(prob, np.zeros(1), np.zeros(2)) == 0.0
 
 
 def test_saddle_single_hinge_attains_objective():
-    prob = scalar_problem([PositivePart()], [0.0])
+    prob = scalar_problem(PositivePart(), [0.0])
     y = np.array([1.0])
     x = np.array([2.0])
     assert evaluate_saddle(prob, x, y) == pytest.approx(2.0)
@@ -111,39 +110,33 @@ def test_saddle_single_hinge_attains_objective():
 
 
 def test_saddle_huber_at_dual_anchor():
-    prob = scalar_problem([HuberHard(0.3)], [0.0])
+    prob = scalar_problem(HuberHard(0.3), [0.0])
     assert evaluate_saddle(prob, np.zeros(1), np.array([0.3])) == pytest.approx(0.0)
 
 
-def test_saddle_dominated_by_objective():
+@pytest.mark.parametrize("f", [PositivePart(), HuberHard(0.4), HalfSquareShift(0.5)],
+                         ids=["PositivePart", "HuberHard", "HalfSquareShift"])
+def test_saddle_dominated_by_objective(f):
     rng = np.random.default_rng(0)
-    outers = [PositivePart(), HuberHard(0.4), HalfSquareShift(0.5)]
-    prob = scalar_problem(outers, [-0.5, 0.2, 1.0])
+    prob = scalar_problem(f, [-0.5, 0.2, 1.0])
+    lo, hi = f.dual_domain()
+    lo, hi = max(lo, -3.0), min(hi, 3.0)
     for _ in range(200):
         x = rng.uniform(-2, 2, size=1)
-        blocks = []
-        for f in outers:
-            lo, hi = f.dual_domain()
-            lo = max(lo, -3.0)
-            hi = min(hi, 3.0)
-            blocks.append(rng.uniform(lo, hi))
-        val = evaluate_saddle(prob, x, np.array(blocks))
+        val = evaluate_saddle(prob, x, rng.uniform(lo, hi, size=3))
         assert val <= evaluate_objective(prob, x) + 1e-9
 
 
-def test_saddle_blockwise_max_recovers_objective():
-    outers = [PositivePart(), HuberHard(0.4)]
-    prob = scalar_problem(outers, [-0.5, 0.2])
+@pytest.mark.parametrize("f", [PositivePart(), HuberHard(0.4)], ids=["PositivePart", "HuberHard"])
+def test_saddle_blockwise_max_recovers_objective(f):
+    prob = scalar_problem(f, [-0.5, 0.2])
     rng = np.random.default_rng(1)
+    grid = np.linspace(*f.dual_domain(), 4001)
+    conj = np.array([f.conjugate_value(v) for v in grid])
     for _ in range(20):
         x = rng.uniform(-1.5, 1.5, size=1)
-        best = -math.inf
-        grids = [np.linspace(*f.dual_domain(), 4001) for f in outers]
         # block separability: maximize each block independently
-        blocks = []
-        for f, inner, grid in zip(outers, prob.inners, grids):
-            vals = grid * inner.exact_value(x) - np.array([f.conjugate_value(g) for g in grid])
-            blocks.append(grid[np.argmax(vals)])
+        blocks = [grid[np.argmax(grid * inner.exact_value(x) - conj)] for inner in prob.inners]
         best = evaluate_saddle(prob, x, np.array(blocks))
         assert best >= evaluate_objective(prob, x) - 1e-3
 
@@ -277,15 +270,22 @@ def test_instance_validation_rules():
     class NonlinearOracle(AffineScalarOracle):
         is_affine = False
 
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="component 1: nonlinear inner"):
         ProblemInstance(
-            n=1, dim=1, outers=[HuberHard(0.3)],
-            inners=[NonlinearOracle(a=[1.0])],
+            n=2, dim=1, outer=HuberHard(0.3),
+            inners=[AffineScalarOracle(a=[1.0]), NonlinearOracle(a=[1.0])],
             regularizer=Regularizer(), domain=BoxDomain.unbounded(1),
         )
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="inners must have length n"):
         ProblemInstance(
-            n=2, dim=1, outers=[PositivePart()],
+            n=2, dim=1, outer=PositivePart(),
+            inners=[AffineScalarOracle(a=[1.0])],
+            regularizer=Regularizer(), domain=BoxDomain.unbounded(1),
+        )
+    # a per-component outer list fails here, not as an AttributeError in a step
+    with pytest.raises(InvalidParameterError, match="^outer must be one OuterFunction, got list"):
+        ProblemInstance(
+            n=2, dim=1, outer=[HuberHard(0.3)] * 2,
             inners=[AffineScalarOracle(a=[1.0])] * 2,
             regularizer=Regularizer(), domain=BoxDomain.unbounded(1),
         )
@@ -298,16 +298,16 @@ def test_problem_types_init_fields_are_pinned():
     # `kernel` and `population_sizes` are derived from the components, and a
     # built problem's `mu` is its regularizer's, so none of them is an input
     assert [f.name for f in dataclasses.fields(ProblemInstance) if f.init] == [
-        "n", "dim", "outers", "inners", "regularizer", "domain", "flat_view", "aux_metrics"]
+        "n", "dim", "outer", "inners", "regularizer", "domain", "flat_view", "aux_metrics"]
     assert [f.name for f in dataclasses.fields(BuiltProblem) if f.init] == [
         "problem", "f_star", "x_star"]
     built = build_hard_nonsmooth(5, 0.5, 1.0, 2.0, 1.0)
     assert built.mu == built.problem.regularizer.mu == 2.0 / 5
 
 
-def coordinate_problem(inners, outers):
+def coordinate_problem(inners, outer):
     n = len(inners)
-    return ProblemInstance(n=n, dim=n, outers=outers, inners=inners,
+    return ProblemInstance(n=n, dim=n, outer=outer, inners=inners,
                            regularizer=Regularizer(l2_coeff=0.1),
                            domain=BoxDomain.symmetric(1.0, n))
 
@@ -318,29 +318,24 @@ class SubclassedCoordinateOracle(CoordinateNoiseOracle):
 
 def test_hand_built_coordinate_problem_gets_its_kernel():
     noise, outer = GaussianNoise(0.5), HuberHard(0.3)
-    kern = coordinate_problem([CoordinateNoiseOracle(i, noise) for i in range(4)],
-                              [outer] * 4).kernel
+    kern = coordinate_problem([CoordinateNoiseOracle(i, noise) for i in range(4)], outer).kernel
     assert type(kern) is CoordinateNoiseKernel
-    assert kern.noise is noise and kern.shared_outer is outer
+    assert kern.noise is noise
     assert build_hard_smooth(3, 0.3, 1.0).problem.kernel is not None
     gdro = build_gdro(build_synthetic_gdro(3, 2, 5, 0.5, np.random.default_rng(0)), alpha=0.5)
     assert gdro.kernel is None
 
 
-@pytest.mark.parametrize("mismatch", ["second_noise", "permuted_index", "other_outer",
-                                      "subclass"])
+@pytest.mark.parametrize("mismatch", ["second_noise", "permuted_index", "subclass"])
 def test_mismatched_coordinate_problem_has_no_kernel(mismatch):
-    # the kernel would run every block on inner 0's noise and outer 0, so
-    # any component that differs must send the solvers down the per-block path
-    noise, outer = TwoPointNoise(0.3, 1.0), HuberHard(0.3)
+    # the kernel would run every block on inner 0's noise, so any component
+    # that differs must send the solvers down the per-block path
+    noise = TwoPointNoise(0.3, 1.0)
     inners = [CoordinateNoiseOracle(i, noise) for i in range(4)]
-    outers = [outer] * 4
     if mismatch == "second_noise":  # the same law in a second object
         inners[3] = CoordinateNoiseOracle(3, TwoPointNoise(0.3, 1.0))
     elif mismatch == "permuted_index":
         inners[0], inners[1] = inners[1], inners[0]
-    elif mismatch == "other_outer":  # equal parameters, another object
-        outers = outers[:3] + [HuberHard(0.3)]
     else:
         inners[3] = SubclassedCoordinateOracle(3, noise)
-    assert coordinate_problem(inners, outers).kernel is None
+    assert coordinate_problem(inners, HuberHard(0.3)).kernel is None

@@ -61,7 +61,7 @@ def affine_problem(n, dim, outer, noise_sigma=0.5, seed=0, reg=None, box=None):
         for _ in range(n)
     ]
     return ProblemInstance(
-        n=n, dim=dim, outers=[outer] * n, inners=inners,
+        n=n, dim=dim, outer=outer, inners=inners,
         regularizer=reg or Regularizer(l2_coeff=0.1),
         domain=box or BoxDomain.unbounded(dim),
     )
@@ -152,7 +152,7 @@ def test_alexr_full_batch_identity_outers_is_proximal_gradient():
     mats = rng.standard_normal((n, dim))
     inners = [AffineScalarOracle(a=mats[i], b=0.0) for i in range(n)]
     reg = Regularizer(l2_coeff=0.5)
-    problem = ProblemInstance(n=n, dim=dim, outers=[Identity()] * n, inners=inners,
+    problem = ProblemInstance(n=n, dim=dim, outer=Identity(), inners=inners,
                               regularizer=reg, domain=BoxDomain.unbounded(dim))
     cfg = AlexrConfig(eta=2.0, tau=1.0, theta=0.0, S=n, B=1, T=1, seed=0)
     state = init_state(cfg, problem)
@@ -197,7 +197,7 @@ def test_alexr_feasibility_and_dual_domains():
     inst = build_hard_smooth(20, 0.3, 1.0)
     cfg = AlexrConfig(eta=0.05, tau=0.5, theta=1.0, S=5, B=1, T=200, seed=7)
     state = init_state(cfg, inst.problem)
-    f = inst.problem.outers[0]
+    f = inst.problem.outer
     lo, hi = f.dual_domain()
     for _ in range(200):
         alexr_step(state, cfg, inst.problem)
@@ -234,9 +234,9 @@ def per_block(problem):
 
 
 def gaussian_coordinate_problem(n, sigma=0.7):
-    """Coordinate inners sharing one Gaussian noise object and one outer."""
-    noise, outer = GaussianNoise(sigma), HuberHard(0.3)
-    return ProblemInstance(n=n, dim=n, outers=[outer] * n,
+    """Coordinate inners sharing one Gaussian noise object."""
+    noise = GaussianNoise(sigma)
+    return ProblemInstance(n=n, dim=n, outer=HuberHard(0.3),
                            inners=[CoordinateNoiseOracle(i, noise) for i in range(n)],
                            regularizer=Regularizer(l2_coeff=0.1),
                            domain=BoxDomain.symmetric(1.0, n))
@@ -245,7 +245,7 @@ def gaussian_coordinate_problem(n, sigma=0.7):
 def _assert_paths_agree(problem, smooth, T, S, B, seed, thetas):
     """T steps of every block solver init_state builds, on the kernel path
     and on the per-block path, must agree bitwise, generator state included;
-    ALEXR runs at each theta, in conjugate mode too when the outers are
+    ALEXR runs at each theta, in conjugate mode too when the outer is
     smooth."""
     assert problem.kernel is not None
     generic = per_block(problem)
@@ -366,7 +366,7 @@ def test_quadratic_equals_conjugate_for_half_square():
                         psi_mode="conjugate", seed=3)
     s_q = init_state(cfg_q, problem)
     s_c = init_state(cfg_c, problem)
-    f = problem.outers[0]
+    f = problem.outer
     for _ in range(100):
         alexr_step(s_q, cfg_q, problem)
         alexr_step(s_c, cfg_c, problem)
@@ -497,7 +497,7 @@ def test_bsgd_deterministic_full_batch_is_subgradient_step():
     mats = rng.standard_normal((n, dim))
     inners = [AffineScalarOracle(a=mats[i], b=0.5) for i in range(n)]
     reg = Regularizer()
-    problem = ProblemInstance(n=n, dim=dim, outers=[HalfSquareShift(0.0)] * n,
+    problem = ProblemInstance(n=n, dim=dim, outer=HalfSquareShift(0.0),
                               inners=inners, regularizer=reg,
                               domain=BoxDomain.unbounded(dim))
     cfg = BaselineConfig(variant="bsgd", step=2.0, S=n, B=1, T=1, seed=0)
@@ -598,7 +598,7 @@ def test_sgd_fixed_point_at_zero_gradient():
             return 0.5 * float(diff @ diff), diff
 
     problem = ProblemInstance(
-        n=1, dim=2, outers=[Identity()],
+        n=1, dim=2, outer=Identity(),
         inners=[AffineScalarOracle(a=[0.0, 0.0])],
         regularizer=Regularizer(), domain=BoxDomain.unbounded(2),
         flat_view=QuadraticView(),
@@ -751,8 +751,8 @@ def test_finiteness_check_equals_elementwise_test(a):
 
 def per_component_objective(problem, x):
     """F(x) with every outer value taken on a 0-d array (the np.where path)."""
-    total = 0.0
-    for f, g in zip(problem.outers, problem.inners):
+    f, total = problem.outer, 0.0
+    for g in problem.inners:
         total += float(f.value(np.asarray(g.exact_value(x))))
     return total / problem.n + problem.regularizer.value(x)
 
@@ -779,6 +779,23 @@ def test_recorded_objectives_equal_array_path_reference(monkeypatch, cfg):
     expected = [per_component_objective(inst.problem, x) for x in points]
     assert len(rec.rows) == 13
     assert np.array(recorded).view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("family", ["hard_smooth", "gdro_chi2"])
+def test_conjugate_dual_norm_equals_per_block_gradients_bitwise(family):
+    # the recorded ||y|| takes one array call f.grad(table); it must equal
+    # the norm of the per-block float-path gradients bit for bit
+    if family == "hard_smooth":
+        problem = build_hard_smooth(30, 0.3, 1.0).problem
+    else:
+        data = build_synthetic_gdro(6, 4, 40, 0.5, np.random.default_rng(0))
+        problem = build_gdro(data, divergence="chi2", lam=1.0)
+    cfg = AlexrConfig(eta=2.0, tau=1.0, theta=1.0, S=3, B=2, T=150, psi_mode="conjugate", seed=4)
+    rec = run(cfg, problem, eval_every=cfg.T)
+    f = problem.outer
+    expected = np.linalg.norm([f.grad(float(u)) for u in rec.dual_final])
+    assert np.float64(rec.final_row.dual_norm).view(np.int64) == np.float64(expected).view(np.int64)
+    assert rec.final_row.dual_norm > 0.0
 
 
 def test_run_average_distance_decreases_on_seed_mean():
