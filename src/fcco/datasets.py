@@ -8,6 +8,7 @@ import math
 import operator
 import sys
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import List
@@ -68,7 +69,7 @@ def _lines(stream):
     return stream
 
 
-# largest 1-based index a row may hold: the fill gathers the indices as int64
+# largest 1-based index a row may hold: the parser keeps the indices as int64
 MAX_LIBSVM_INDEX = 2 ** 63 - 1
 
 
@@ -99,9 +100,11 @@ def parse_libsvm(stream):
     labels), `features` a dense float64 array as wide as the largest index.
     Blank lines are skipped; malformed input, including a non-finite label
     or value, raises with the offending line number, and a shape too large
-    to allocate raises DataError naming the stream's file, if it has one."""
+    to allocate raises DataError naming the stream's file, if it has one.
+    Each stored value is held as 8 bytes in a typed buffer, beside its
+    8-byte index, until the dense array is filled."""
     labels, row_lines = [], []
-    data, indices, indptr = [], [], [0]
+    data, indices, indptr = array("d"), array("q"), array("q", [0])
     max_index = 0
     for line_no, raw in enumerate(_lines(stream), start=1):
         tokens = raw.split()
@@ -119,7 +122,7 @@ def parse_libsvm(stream):
             flat = ":".join(pairs).split(":")
             try:
                 idxs = list(map(int, flat[0::2]))
-                vals = list(map(float, flat[1::2]))
+                data.extend(map(float, flat[1::2]))  # a bad line raises below
             except ValueError:
                 idxs = None
             # the pieces alternate index, value only if every token holds
@@ -130,12 +133,11 @@ def parse_libsvm(stream):
                     or idxs[0] < 1 or not all(map(operator.lt, idxs, idxs[1:]))
                     or idxs[-1] > MAX_LIBSVM_INDEX):
                 _token_error(line_no, pairs)
-            indices += idxs
-            data += vals
+            indices.extend(idxs)
             max_index = max(max_index, idxs[-1])
         indptr.append(len(indices))
-    data = np.asarray(data, dtype=float)
-    indptr = np.asarray(indptr, dtype=int)
+    data = np.frombuffer(data, dtype=np.float64)
+    indptr = np.frombuffer(indptr, dtype=np.int64)
     bad = np.flatnonzero(~np.isfinite(data))
     if bad.size:
         row = int(np.searchsorted(indptr, bad[0], side="right")) - 1
@@ -145,9 +147,14 @@ def parse_libsvm(stream):
     except (ValueError, MemoryError) as exc:
         raise DataError(f"{getattr(stream, 'name', 'LIBSVM text')}: cannot allocate the "
                         f"{len(labels)}x{max_index} feature array ({exc})") from exc
-    # added to the zeros, so that a -0.0 entry reads as +0.0, like an absent one
-    features[np.repeat(np.arange(len(labels)), np.diff(indptr)),
-             np.asarray(indices, dtype=int) - 1] += data
+    if data.size:  # a labels-only document has max_index 0, no arange step
+        # each entry's flat position, formed in the index buffer itself
+        pos = np.frombuffer(indices, dtype=np.int64)
+        pos -= 1
+        pos += np.repeat(np.arange(0, len(labels) * max_index, max_index), np.diff(indptr))
+        features.reshape(-1)[pos] = data
+        # adding zero turns a stored -0.0 into +0.0, like an absent entry
+        features += 0.0
     return features, np.asarray(labels)
 
 
@@ -167,6 +174,11 @@ def _stored_entries(features):
     return len(dense), indptr, cols, dense[rows, cols]
 
 
+# rows dump_libsvm formats per stream.write: the text of one block, not the
+# whole document, is held in memory at a time
+LIBSVM_WRITE_BLOCK = 256
+
+
 def dump_libsvm(features, labels, stream):
     """Serialize rows in the same sparse text format (17-digit floats).
 
@@ -176,7 +188,9 @@ def dump_libsvm(features, labels, stream):
     `tocsr()` stores.  `labels` holds one number per row.  Only a sparse
     input needs scipy.  Raises DataError when the label count differs from
     the row count, or when a label or value is not finite, which
-    parse_libsvm would refuse to read back; nothing is written then."""
+    parse_libsvm would refuse to read back; nothing is written then.  The
+    checks cover every row before the first write; the rows then go out in
+    blocks of LIBSVM_WRITE_BLOCK, one write each."""
     n_rows, indptr, cols, values = _stored_entries(features)
     labels = np.asarray(labels)
     if labels.ndim != 1:
@@ -185,22 +199,27 @@ def dump_libsvm(features, labels, stream):
         raise DataError(f"{len(labels)} labels for {n_rows} feature rows")
     counts = np.diff(indptr)
     bad = np.concatenate((np.flatnonzero(~np.isfinite(labels)),
-                          np.repeat(np.arange(n_rows), counts)[~np.isfinite(values)]))
+                          np.searchsorted(indptr, np.flatnonzero(~np.isfinite(values)),
+                                          side="right") - 1))
     if bad.size:
         raise DataError(f"row {bad.min()} holds a non-finite label or value")
     # each row is "label idx:val ...", formatted by one template per entry count
-    pairs = [None] * (2 * len(values))
-    pairs[0::2] = (cols + 1).tolist()
-    pairs[1::2] = values.tolist()
-    bounds = (2 * indptr).tolist()
     templates = {}
-    lines = []
-    for label, k, lo, hi in zip(labels.tolist(), counts.tolist(), bounds, bounds[1:]):
-        template = templates.get(k)
-        if template is None:
-            template = templates[k] = "%.17g" + " %d:%.17g" * k + "\n"
-        lines.append(template % (label, *pairs[lo:hi]))
-    stream.write("".join(lines))
+    for start in range(0, n_rows, LIBSVM_WRITE_BLOCK):
+        stop = min(start + LIBSVM_WRITE_BLOCK, n_rows)
+        lo, hi = indptr[start], indptr[stop]
+        pairs = [None] * (2 * (hi - lo))
+        pairs[0::2] = (cols[lo:hi] + 1).tolist()
+        pairs[1::2] = values[lo:hi].tolist()
+        bounds = (2 * (indptr[start:stop + 1] - lo)).tolist()
+        lines = []
+        for label, k, a, b in zip(labels[start:stop].tolist(), counts[start:stop].tolist(),
+                                  bounds, bounds[1:]):
+            template = templates.get(k)
+            if template is None:
+                template = templates[k] = "%.17g" + " %d:%.17g" * k + "\n"
+            lines.append(template % (label, *pairs[a:b]))
+        stream.write("".join(lines))
 
 
 def load_libsvm(path):

@@ -1,11 +1,17 @@
 """Text ingestion and synthetic dataset generators."""
 
 import io
+import os
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcco.datasets import (
+    LIBSVM_WRITE_BLOCK,
     GroupedDataset,
     PaucDataset,
     build_synthetic_gdro,
@@ -104,16 +110,59 @@ def test_dump_libsvm_rejects_a_label_count_unlike_the_row_count(n_rows, n_labels
 
 
 @pytest.mark.parametrize("row, label, value", [
-    (1, np.inf, 1.0), (2, 1.0, np.nan), (0, -np.inf, -np.inf), (1, np.nan, 1.0)])
+    (1, np.inf, 1.0), (2, 1.0, np.nan), (0, -np.inf, -np.inf), (1, np.nan, 1.0),
+    (LIBSVM_WRITE_BLOCK + 5, 1.0, np.nan)])  # past the first block of rows written
 def test_dump_libsvm_rejects_non_finite_rows(row, label, value):
     # such a file would not read back: parse_libsvm refuses non-finite text
-    rows, labels = np.ones((4, 3)), np.ones(4)
+    n_rows = LIBSVM_WRITE_BLOCK + 8
+    rows, labels = np.ones((n_rows, 3)), np.ones(n_rows)
     rows[row, 1], labels[row] = value, label
-    rows[3, 2] = np.nan  # a later bad row does not hide the first
+    rows[-1, 2] = np.nan  # a later bad row does not hide the first
     buf = io.StringIO()
     with pytest.raises(DataError, match=f"^row {row} holds a non-finite label or value$"):
         dump_libsvm(rows, labels, buf)
     assert buf.getvalue() == ""
+
+
+def _traced_peak(call):
+    """call()'s result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _dense_rows():
+    rng = np.random.default_rng(5)
+    return rng.standard_normal((16800, 50)), np.where(rng.random(16800) < 0.5, -1.0, 1.0)
+
+
+def test_dump_libsvm_memory_is_bounded_by_the_values():
+    # numpy reports its buffers to tracemalloc.  Per stored value the writer
+    # holds its row and column (16 bytes, from np.nonzero) and the value (8):
+    # 3x the values' bytes, plus one block's text.  Formatting the whole
+    # document before one write holds Python objects and text for every
+    # row, about 14x.
+    values, labels = _dense_rows()
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        _, peak = _traced_peak(lambda: dump_libsvm(values, labels, sink))
+    assert peak <= 6 * values.nbytes
+
+
+def test_parse_libsvm_memory_is_bounded_by_the_features(tmp_path):
+    # per stored value the reader holds the value and its index in typed
+    # buffers (16 bytes, plus their growth), the row offset added to the
+    # index (8) and the dense result (8): about 4.25x the features' bytes
+    # with the per-row labels and line numbers.  Keeping the values as
+    # Python floats costs about 6.3x.
+    path = tmp_path / "rows.libsvm"
+    with open(path, "w", encoding="utf-8") as fh:
+        dump_libsvm(*_dense_rows(), fh)
+    with open(path, encoding="utf-8") as fh:
+        (features, _), peak = _traced_peak(lambda: parse_libsvm(fh))
+    assert features.shape == (16800, 50)
+    assert peak <= 5 * features.nbytes
 
 
 # --- grouped csv ------------------------------------------------------------
@@ -170,6 +219,42 @@ def test_grouped_csv_round_trip():
     assert np.array_equal(back.features, data.features)
     assert np.array_equal(back.labels, data.labels)
     assert np.array_equal(back.group_of, data.group_of)
+
+
+FEATURE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                     2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+                     1e-300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def grouped_datasets(draw):
+    """A GroupedDataset of finite features (+-0.0, subnormals and extreme
+    exponents among them) and +-1 labels, its groups numbered in order of
+    first appearance, as load_grouped_csv numbers them."""
+    n, d = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    features = np.array(draw(st.lists(FEATURE_VALUES, min_size=n * d, max_size=n * d)),
+                        dtype=float).reshape(n, d)
+    labels = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    group_of = []
+    for _ in range(n):
+        group_of.append(draw(st.integers(0, max(group_of, default=-1) + 1)))
+    return GroupedDataset(features=features, labels=labels, group_of=np.array(group_of),
+                          n_groups=max(group_of) + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grouped_datasets())
+def test_grouped_csv_round_trip_is_bitwise(data):
+    buf = io.StringIO()
+    grouped_to_csv(data, buf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # singleton groups warn
+        back = load_grouped_csv(io.StringIO(buf.getvalue()), group_column="group")
+    assert_same_bits(back.features, data.features)
+    assert_same_bits(back.labels, data.labels)
+    assert_same_bits(back.group_of, data.group_of)
 
 
 # --- synthetic generators ----------------------------------------------------

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcco.datasets import dump_libsvm, parse_libsvm
+from fcco.datasets import LIBSVM_WRITE_BLOCK, dump_libsvm, parse_libsvm
 from fcco.errors import LibsvmParseError
 
 
@@ -214,6 +214,26 @@ def test_writer_matches_reference_bytes(dtype):
             dump_libsvm(features, label, got)
             reference_dump_libsvm(features, label, expect)
             assert got.getvalue() == expect.getvalue(), (form, kind)
+
+
+@pytest.mark.filterwarnings("ignore:the matrix subclass:PendingDeprecationWarning")
+@pytest.mark.parametrize("n_rows", [LIBSVM_WRITE_BLOCK - 1, LIBSVM_WRITE_BLOCK,
+                                    LIBSVM_WRITE_BLOCK + 1, 2 * LIBSVM_WRITE_BLOCK + 3])
+def test_writer_matches_reference_bytes_across_blocks(n_rows):
+    rng = np.random.default_rng(4)
+    rows = rng.standard_normal((n_rows, 5))
+    rows[rng.random(rows.shape) < 0.5] = 0.0
+    # all-zero rows on each side of every block boundary, and first and last
+    for i in (0, LIBSVM_WRITE_BLOCK - 1, LIBSVM_WRITE_BLOCK, 2 * LIBSVM_WRITE_BLOCK - 1,
+              2 * LIBSVM_WRITE_BLOCK, n_rows - 1):
+        if i < n_rows:
+            rows[i] = 0.0
+    labels = np.where(rng.random(n_rows) < 0.5, -1.0, 1.0)
+    for form, features in _writer_inputs(rows).items():
+        got, expect = io.StringIO(), io.StringIO()
+        dump_libsvm(features, labels, got)
+        reference_dump_libsvm(features, labels, expect)
+        assert got.getvalue() == expect.getvalue(), form
 
 
 @st.composite
