@@ -158,25 +158,44 @@ def parse_libsvm(stream):
     return features, np.asarray(labels)
 
 
-def _stored_entries(features):
-    """(n_rows, indptr, cols, values) of the entries `scipy.sparse.csr_matrix
-    (features)` would store, in row-major order, without loading scipy for a
-    dense input."""
-    sp = sys.modules.get("scipy.sparse")  # a sparse input exists only once it is loaded
-    if sp is not None and sp.issparse(features):
-        mat = features.tocsr()  # sums duplicates, keeps explicitly stored zeros
-        return mat.shape[0], mat.indptr, mat.indices, mat.data
-    dense = np.atleast_2d(np.asarray(features))
-    if dense.ndim != 2:
-        raise DataError(f"features must be one row or a matrix, got shape {dense.shape}")
-    rows, cols = np.nonzero(dense)  # NaN counts as nonzero, +-0.0 does not
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(dense)))))
-    return len(dense), indptr, cols, dense[rows, cols]
-
-
 # rows dump_libsvm formats per stream.write: the text of one block, not the
 # whole document, is held in memory at a time
 LIBSVM_WRITE_BLOCK = 256
+
+
+def _stored_entries(features):
+    """(n_rows, bad_row, entries) for the entries `scipy.sparse.csr_matrix
+    (features)` would store.  `bad_row` is the first row that stores a
+    non-finite value (n_rows if none does), and `entries(start, stop)`
+    returns the entry count of each of rows start..stop-1 and their columns
+    and values in row-major order.  A dense input is read LIBSVM_WRITE_BLOCK
+    rows at a time, without loading scipy."""
+    sp = sys.modules.get("scipy.sparse")  # a sparse input exists only once it is loaded
+    if sp is not None and sp.issparse(features):
+        mat = features.tocsr()  # sums duplicates, keeps explicitly stored zeros
+        indptr = mat.indptr
+        bad = np.flatnonzero(~np.isfinite(mat.data))
+        bad_row = int(np.searchsorted(indptr, bad[0], side="right")) - 1 if bad.size else mat.shape[0]
+
+        def entries(start, stop):
+            lo, hi = indptr[start], indptr[stop]
+            return np.diff(indptr[start:stop + 1]), mat.indices[lo:hi], mat.data[lo:hi]
+        return mat.shape[0], bad_row, entries
+    dense = np.atleast_2d(np.asarray(features))
+    if dense.ndim != 2:
+        raise DataError(f"features must be one row or a matrix, got shape {dense.shape}")
+    bad_row = len(dense)
+    for start in range(0, len(dense), LIBSVM_WRITE_BLOCK):
+        bad = np.flatnonzero(~np.isfinite(dense[start:start + LIBSVM_WRITE_BLOCK]).all(axis=1))
+        if bad.size:
+            bad_row = start + int(bad[0])
+            break
+
+    def entries(start, stop):
+        block = dense[start:stop]
+        rows, cols = np.nonzero(block)  # NaN counts as nonzero, +-0.0 does not
+        return np.bincount(rows, minlength=len(block)), cols, block[rows, cols]
+    return len(dense), bad_row, entries
 
 
 def dump_libsvm(features, labels, stream):
@@ -190,30 +209,30 @@ def dump_libsvm(features, labels, stream):
     the row count, or when a label or value is not finite, which
     parse_libsvm would refuse to read back; nothing is written then.  The
     checks cover every row before the first write; the rows then go out in
-    blocks of LIBSVM_WRITE_BLOCK, one write each."""
-    n_rows, indptr, cols, values = _stored_entries(features)
+    blocks of LIBSVM_WRITE_BLOCK, one write each, and a dense input's
+    entries are gathered one block at a time."""
+    n_rows, bad_row, entries = _stored_entries(features)
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise DataError(f"labels must be one-dimensional, got shape {labels.shape}")
     if len(labels) != n_rows:
         raise DataError(f"{len(labels)} labels for {n_rows} feature rows")
-    counts = np.diff(indptr)
-    bad = np.concatenate((np.flatnonzero(~np.isfinite(labels)),
-                          np.searchsorted(indptr, np.flatnonzero(~np.isfinite(values)),
-                                          side="right") - 1))
-    if bad.size:
-        raise DataError(f"row {bad.min()} holds a non-finite label or value")
+    bad_labels = np.flatnonzero(~np.isfinite(labels))
+    if bad_labels.size:
+        bad_row = min(bad_row, int(bad_labels[0]))
+    if bad_row < n_rows:
+        raise DataError(f"row {bad_row} holds a non-finite label or value")
     # each row is "label idx:val ...", formatted by one template per entry count
     templates = {}
     for start in range(0, n_rows, LIBSVM_WRITE_BLOCK):
         stop = min(start + LIBSVM_WRITE_BLOCK, n_rows)
-        lo, hi = indptr[start], indptr[stop]
-        pairs = [None] * (2 * (hi - lo))
-        pairs[0::2] = (cols[lo:hi] + 1).tolist()
-        pairs[1::2] = values[lo:hi].tolist()
-        bounds = (2 * (indptr[start:stop + 1] - lo)).tolist()
+        counts, cols, values = entries(start, stop)
+        pairs = [None] * (2 * len(values))
+        pairs[0::2] = (cols + 1).tolist()
+        pairs[1::2] = values.tolist()
+        bounds = [0, *(2 * np.cumsum(counts)).tolist()]
         lines = []
-        for label, k, a, b in zip(labels[start:stop].tolist(), counts[start:stop].tolist(),
+        for label, k, a, b in zip(labels[start:stop].tolist(), counts.tolist(),
                                   bounds, bounds[1:]):
             template = templates.get(k)
             if template is None:

@@ -242,11 +242,12 @@ class GroupRiskOracle(IndexBatchOracle):
         return (_logistic_risk(x[:-1], self.feats, self.labels) - float(x[-1])) / self.lam
 
     def stochastic_value(self, x, batch):
-        risk = _logistic_risk(x[:-1], self.feats[batch], self.labels[batch])
+        # take gathers 2-D rows faster than fancy indexing, which is faster on 1-D
+        risk = _logistic_risk(x[:-1], self.feats.take(batch, axis=0), self.labels[batch])
         return (risk - float(x[-1])) / self.lam
 
     def accumulate_jtvp(self, out, x, batch, y, scale):
-        grad_w = _logistic_grad_w(x[:-1], self.feats[batch], self.labels[batch])
+        grad_w = _logistic_grad_w(x[:-1], self.feats.take(batch, axis=0), self.labels[batch])
         coeff = scale * y / self.lam
         out[:-1] += coeff * grad_w
         out[-1] -= coeff
@@ -411,6 +412,29 @@ def _surrogate(kind):
     return val, deriv
 
 
+class _NegativeScores:
+    """The negatives of a pAUC problem as one float64 array, and their scores
+    `neg @ w` at the last w asked for.  Every inner oracle of a problem holds
+    the same instance, so an exact evaluation at one x computes the product
+    once, not once per positive.  The cache is keyed by the dtype and bytes
+    of w, so a NaN payload, a signed zero or a w edited in place never hits
+    a stale entry.  The scores are returned read-only, since every oracle
+    reads them."""
+
+    def __init__(self, negatives):
+        self.neg = np.asarray(negatives, dtype=float)
+        self._key = None
+        self._scores = None
+
+    def at(self, w):
+        key = (w.dtype.char, w.tobytes())
+        if key != self._key:
+            scores = self.neg @ w
+            scores.flags.writeable = False
+            self._key, self._scores = key, scores
+        return self._scores
+
+
 class PaucInnerOracle(IndexBatchOracle):
     """g_i(w, s) = mean_j ell(<w, a_j - a_i>) - s over negatives a_j for one
     positive a_i; batches sample negatives with replacement.
@@ -418,28 +442,32 @@ class PaucInnerOracle(IndexBatchOracle):
     Scores are computed as `neg @ w - pos.w` and the Jacobian's w-part as
     `slopes @ neg - sum(slopes) * pos`, so no (negatives x d) difference
     matrix is ever built.  Means are `np.add.reduce(v) / v.size`, which is
-    what `np.mean` computes on float64, without its dispatch overhead."""
+    what `np.mean` computes on float64, without its dispatch overhead.
+    `scores` is a `_NegativeScores` over `negatives` that several oracles
+    share (`build_pauc` passes one to all of a problem's oracles); without
+    it the oracle holds its own."""
 
-    def __init__(self, pos_row, negatives, surrogate):
+    def __init__(self, pos_row, negatives, surrogate, scores=None):
         self.pos = np.asarray(pos_row, dtype=float)
-        self.neg = np.asarray(negatives, dtype=float)
+        self._neg_scores = _NegativeScores(negatives) if scores is None else scores
+        self.neg = self._neg_scores.neg
         self.val, self.deriv = _surrogate(surrogate)
         self.size = len(self.neg)
 
     def exact_value(self, x):
         w, s = x[:-1], float(x[-1])
-        v = self.val(self.neg @ w - self.pos @ w)
+        v = self.val(self._neg_scores.at(w) - self.pos @ w)
         return float(np.add.reduce(v) / v.size) - s
 
     def stochastic_value(self, x, batch):
         w, s = x[:-1], float(x[-1])
-        v = self.val(self.neg[batch] @ w - self.pos @ w)
+        v = self.val(self.neg.take(batch, axis=0) @ w - self.pos @ w)
         return float(np.add.reduce(v) / v.size) - s
 
     def accumulate_jtvp(self, out, x, batch, y, scale):
         # the w-part is the batch mean of ell'(<w, a_j - a_i>) (a_j - a_i)
         w = x[:-1]
-        neg_b = self.neg[batch]
+        neg_b = self.neg.take(batch, axis=0)
         slopes = self.deriv(neg_b @ w - self.pos @ w)
         coeff = scale * y
         out[:-1] += (coeff / len(batch)) * (slopes @ neg_b - np.add.reduce(slopes) * self.pos)
@@ -448,11 +476,14 @@ class PaucInnerOracle(IndexBatchOracle):
 
 def build_pauc(data, surrogate="squared_hinge", weight_decay=0.0):
     """Ranking problem over x = (w, s): one component per positive sample
-    with outer hinge scaled by 1/(1-alpha), plus the '+s' linear term."""
+    with outer hinge scaled by 1/(1-alpha), plus the '+s' linear term.  The
+    oracles share one copy of the negatives and one cache of their scores,
+    so an exact evaluation computes `neg @ w` once."""
     n_pos = len(data.positives)
     dim = data.positives.shape[1] + 1
     outer = ScaledPositivePart(1.0 - data.alpha)
-    inners = [PaucInnerOracle(data.positives[i], data.negatives, surrogate)
+    scores = _NegativeScores(data.negatives)
+    inners = [PaucInnerOracle(data.positives[i], scores.neg, surrogate, scores)
               for i in range(n_pos)]
     l2 = np.full(dim, weight_decay)
     l2[-1] = 0.0

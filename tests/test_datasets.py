@@ -139,15 +139,43 @@ def _dense_rows():
 
 
 def test_dump_libsvm_memory_is_bounded_by_the_values():
-    # numpy reports its buffers to tracemalloc.  Per stored value the writer
-    # holds its row and column (16 bytes, from np.nonzero) and the value (8):
-    # 3x the values' bytes, plus one block's text.  Formatting the whole
-    # document before one write holds Python objects and text for every
-    # row, about 14x.
+    # numpy reports its buffers to tracemalloc.  The writer gathers a dense
+    # input's entries one block of LIBSVM_WRITE_BLOCK rows at a time, so it
+    # holds one block's rows, columns, values and text: about a quarter of
+    # these values' bytes, and less as a share of a longer array.  Taking
+    # the nonzero entries of the whole array at once holds 3x the values'
+    # bytes, and formatting the whole document before one write about 14x.
     values, labels = _dense_rows()
     with open(os.devnull, "w", encoding="utf-8") as sink:
         _, peak = _traced_peak(lambda: dump_libsvm(values, labels, sink))
-    assert peak <= 6 * values.nbytes
+    assert peak <= values.nbytes / 2
+
+
+def _whole_array_text(features, labels):
+    """The LIBSVM text of every nonzero entry, from one np.nonzero over the
+    whole array."""
+    rows, cols = np.nonzero(features)
+    lines = [["%.17g" % label] for label in labels]
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        lines[r].append("%d:%.17g" % (c + 1, features[r, c]))
+    return "".join(" ".join(line) + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("n_rows", [1, LIBSVM_WRITE_BLOCK, 2 * LIBSVM_WRITE_BLOCK + 7])
+def test_dump_libsvm_blocks_write_the_whole_array_text(n_rows):
+    # signed zeros are left out, as absent entries; rows with no entry and
+    # with one entry fall on both sides of the block boundaries
+    rng = np.random.default_rng(n_rows)
+    features = rng.standard_normal((n_rows, 6))
+    features[rng.random(features.shape) < 0.5] = 0.0
+    features[rng.random(features.shape) < 0.2] = -0.0
+    for r in range(0, n_rows, 3):
+        features[r] = 0.0
+        features[r, r % 6] = rng.standard_normal() if r % 2 else -0.0
+    labels = np.where(rng.random(n_rows) < 0.5, -1.0, 1.0)
+    buf = io.StringIO()
+    dump_libsvm(features, labels, buf)
+    assert buf.getvalue() == _whole_array_text(features, labels)
 
 
 def test_parse_libsvm_memory_is_bounded_by_the_features(tmp_path):

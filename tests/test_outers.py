@@ -312,6 +312,29 @@ def test_prox_nonexpansive_in_y(f):
         assert abs(v1 - v2) <= abs(y1 - y2) + 1e-12
 
 
+PROX_GRID = 4001
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(SHIPPED_OUTER_FACTORIES)), y=st.floats(-50.0, 50.0),
+       g=st.floats(-50.0, 50.0), tau=st.floats(0.01, 100.0))
+def test_prox_lies_in_the_dual_domain_and_on_the_grid_oracle(name, y, g, tau):
+    # the prox objective is strictly concave on the dual interval, so its
+    # grid maximizer is one of the two grid points around the maximizer:
+    # within one grid step of it
+    f = SHIPPED_OUTER_FACTORIES[name]()
+    lo, hi = f.dual_domain()
+    v = float(f.prox_dual_quadratic(y, g, tau))
+    assert lo <= v <= hi
+    # an unbounded interval needs a > 0, and the unclamped maximizer
+    # (a/(a+tau)) (g-b)/a + (tau/(a+tau)) y then lies within this window
+    radius = abs(y) + (abs(g) + abs(f.b)) / f.a + 1.0 if f.a > 0.0 else math.inf
+    bounds = (max(lo, -radius), min(hi, radius))
+    step = (bounds[1] - bounds[0]) / (PROX_GRID - 1)
+    approx = grid_prox_oracle(f, y, g, tau, grid_size=PROX_GRID, bounds=bounds)
+    assert abs(v - approx) <= step * (1.0 + 1e-9)
+
+
 # --- scalar value path and clamps -----------------------------------------
 
 
