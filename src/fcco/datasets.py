@@ -32,6 +32,9 @@ class GroupedDataset:
         self.features = np.asarray(self.features, dtype=float)
         self.labels = np.asarray(self.labels, dtype=float)
         self.group_of = np.asarray(self.group_of, dtype=int)
+        if not len(self.features) == len(self.labels) == len(self.group_of):
+            raise DataError(f"features {self.features.shape}, labels {self.labels.shape} and "
+                            f"group_of {self.group_of.shape} differ in length")
         if not self.group_index:
             self.group_index = [np.flatnonzero(self.group_of == g) for g in range(self.n_groups)]
         if any(len(rows) == 0 for rows in self.group_index):
@@ -61,6 +64,9 @@ class PaucDataset:
             raise InvalidParameterError("n_pos * (1 - alpha) must be at least 1")
         if len(self.negatives) == 0:
             raise DataError("pAUC data holds no negatives")
+        if self.positives.shape[1:] != self.negatives.shape[1:]:
+            raise DataError(f"positives {self.positives.shape} and negatives "
+                            f"{self.negatives.shape} differ in width")
 
 
 def _lines(stream):

@@ -26,8 +26,7 @@ import numpy as np
 from . import __version__
 from .datasets import build_synthetic_gdro, build_synthetic_pauc, load_grouped_csv, load_libsvm, PaucDataset
 from .errors import ConfigValidationError, FccoError, InvalidParameterError
-from .instances import (BuiltProblem, build_gdro, build_hard_nonsmooth, build_hard_smooth,
-                        build_pauc)
+from .instances import build_gdro, build_hard_nonsmooth, build_hard_smooth, build_pauc
 from .metrics import fit_rate
 from .solvers import (
     SOLVER_NAMES,
@@ -263,7 +262,8 @@ BUILDER_PARAMS = {
 def _gdro(data, p):
     problem = build_gdro(data, divergence=p["divergence"], alpha=p["alpha"], lam=p["lam"],
                          weight_decay=p["weight_decay"], risk_bound=p["risk_bound"])
-    return BuiltProblem(problem, f_star=p["f_star"])
+    problem.f_star = p["f_star"]
+    return problem
 
 
 def _build_gdro_synthetic(p):
@@ -282,7 +282,8 @@ def _build_gdro_csv(p):
 
 def _pauc(data, p):
     problem = build_pauc(data, surrogate=p["surrogate"], weight_decay=p["weight_decay"])
-    return BuiltProblem(problem, f_star=p["f_star"])
+    problem.f_star = p["f_star"]
+    return problem
 
 
 def _build_pauc_synthetic(p):
@@ -318,7 +319,7 @@ def _build(spec):
 ALEXR_PRESETS = {None: AlexrConfig, "strongly_convex": strongly_convex_preset,
                  "convex": convex_preset}
 # What make_solver supplies where the callable has no default, per preset and
-# for BaselineConfig ("baseline"); mu=None stands for the built problem's.
+# for BaselineConfig ("baseline"); mu=None stands for the problem's.
 # The harness sets seed, label, n and variant itself: they are not config keys.
 _SIZES = {"S": 1, "B": 1, "T": 0}
 _FILLS = {None: {**_SIZES, "theta": 0.0},
@@ -344,7 +345,7 @@ def _solver_params(name, preset=None):
             if key not in _HARNESS_SET}
 
 
-def make_solver(name, params, seed, built, label=None):
+def make_solver(name, params, seed, problem, label=None):
     """Instantiate a solver config from an entry's params plus the fills the
     library leaves without a default; `alexr` params may name a preset whose
     step sizes are derived from the problem and a target accuracy."""
@@ -355,9 +356,9 @@ def make_solver(name, params, seed, built, label=None):
     if name != "alexr":
         kwargs["variant"] = name
     elif preset == "strongly_convex":
-        kwargs["n"] = built.problem.n
+        kwargs["n"] = problem.n
         if kwargs["mu"] is None:
-            kwargs["mu"] = built.mu
+            kwargs["mu"] = problem.mu
     return factory(**kwargs)
 
 
@@ -437,10 +438,9 @@ def _cell_filename(label, seed, fmt):
     return f"{safe}__seed{seed}.{EMIT_EXTENSIONS[fmt]}"
 
 
-def _run_seed(built, label, name, params, seed, eval_every):
+def _run_seed(problem, label, name, params, seed, eval_every):
     """One seed of one solver cell on a built problem."""
-    solver = make_solver(name, params, seed, built, label=label)
-    return run(solver, built.problem, eval_every, f_star=built.f_star, x_star=built.x_star)
+    return run(make_solver(name, params, seed, problem, label=label), problem, eval_every)
 
 
 def run_experiment(config, out_dir):
@@ -563,7 +563,7 @@ def sweep_rate(config, out_dir):
     entry = config.solvers[0]
     if entry.get("grid"):
         raise ConfigValidationError("solvers[0].grid", "sweep-rate takes no grid")
-    built = _build(config.problem)
+    problem = _build(config.problem)
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     for eps in config.epsilons:
@@ -572,7 +572,7 @@ def sweep_rate(config, out_dir):
             params["epsilon"] = eps
         if config.budget is not None:
             params["T"] = config.budget
-        records = [_run_seed(built, entry.get("label", entry["name"]), entry["name"], params,
+        records = [_run_seed(problem, entry.get("label", entry["name"]), entry["name"], params,
                              seed, config.eval_every) for seed in config.seeds]
         hit = iterations_to_reach(records, eps)
         entries.append({"epsilon": eps, "iterations": hit, "converged": hit is not None})

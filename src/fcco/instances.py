@@ -13,8 +13,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -144,21 +142,6 @@ class CoordinateNoiseKernel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BuiltProblem:
-    """A problem with what is known of its optimum: the minimizer x_star and
-    the optimal value f_star (None where unknown)."""
-
-    problem: ProblemInstance
-    f_star: Optional[float] = None
-    x_star: Optional[np.ndarray] = None
-
-    @property
-    def mu(self):
-        """The regularizer's strong-convexity modulus."""
-        return self.problem.regularizer.mu
-
-
 def build_hard_smooth(n, nu, sigma):
     """Smooth variant: three-branch outer f with f'(u) = clip(u+nu, nu-1, nu+1),
     noisy coordinate inners, r(x) = ||x||^2/(4n), domain [-1, 1]^n.  The
@@ -166,12 +149,11 @@ def build_hard_smooth(n, nu, sigma):
     if not 0.0 < nu < 1.0:
         raise InvalidParameterError(f"nu must lie in (0, 1), got {nu}")
     noise = TwoPointNoise(nu, sigma)
-    problem = ProblemInstance(n=n, dim=n, outer=HuberHard(nu),
-                              inners=[CoordinateNoiseOracle(i, noise) for i in range(n)],
-                              regularizer=Regularizer(l2_coeff=1.0 / (2.0 * n)),
-                              domain=BoxDomain.symmetric(1.0, n))
-    x_star = np.full(n, -2.0 * nu / 3.0)
-    return BuiltProblem(problem=problem, x_star=x_star, f_star=-nu ** 2 / 3.0)
+    return ProblemInstance(outer=HuberHard(nu),
+                           inners=[CoordinateNoiseOracle(i, noise) for i in range(n)],
+                           regularizer=Regularizer(l2_coeff=1.0 / (2.0 * n)),
+                           domain=BoxDomain.symmetric(1.0, n),
+                           f_star=-nu ** 2 / 3.0, x_star=np.full(n, -2.0 * nu / 3.0))
 
 
 def build_hard_nonsmooth(n, nu, beta, alpha_reg, sigma):
@@ -183,22 +165,29 @@ def build_hard_nonsmooth(n, nu, beta, alpha_reg, sigma):
     if alpha_reg < 0:
         raise InvalidParameterError("alpha_reg must be nonnegative")
     noise = TwoPointNoise(nu, sigma)
-    problem = ProblemInstance(n=n, dim=n, outer=HingeHard(beta, nu),
-                              inners=[CoordinateNoiseOracle(i, noise) for i in range(n)],
-                              regularizer=Regularizer(l2_coeff=alpha_reg / n),
-                              domain=BoxDomain.symmetric(2.0 * nu, n))
-    if alpha_reg > beta / nu:
-        coord = -beta / alpha_reg
-    else:
-        coord = -nu
-    x_star = np.full(n, coord)
-    per_component = beta * max(coord, -nu) + 0.5 * alpha_reg * coord ** 2
-    return BuiltProblem(problem=problem, x_star=x_star, f_star=per_component)
+    coord = -beta / alpha_reg if alpha_reg > beta / nu else -nu
+    return ProblemInstance(outer=HingeHard(beta, nu),
+                           inners=[CoordinateNoiseOracle(i, noise) for i in range(n)],
+                           regularizer=Regularizer(l2_coeff=alpha_reg / n),
+                           domain=BoxDomain.symmetric(2.0 * nu, n),
+                           f_star=beta * max(coord, -nu) + 0.5 * alpha_reg * coord ** 2,
+                           x_star=np.full(n, coord))
 
 
 # ---------------------------------------------------------------------------
 # logistic loss and group-robust training
 # ---------------------------------------------------------------------------
+
+
+def _dual_form_regularizer(dim, weight_decay):
+    """r(x) = weight_decay/2 * ||x[:-1]||^2 + x[-1]: weight decay on every
+    coordinate but the last, whose +1 linear term is the dual form's
+    threshold (GDRO's c, pAUC's s)."""
+    l2 = np.full(dim, weight_decay)
+    l2[-1] = 0.0
+    linear = np.zeros(dim)
+    linear[-1] = 1.0
+    return Regularizer(l2_coeff=l2, linear=linear)
 
 
 def _logistic_risk(w, feats, labels):
@@ -318,11 +307,6 @@ def build_gdro(data, divergence="cvar", alpha=None, lam=1.0, weight_decay=0.0,
             raise DataError(f"group {g} is empty")
         inners.append(GroupRiskOracle(data.features[rows], data.labels[rows], lam))
 
-    l2 = np.full(dim, weight_decay)
-    l2[-1] = 0.0
-    linear = np.zeros(dim)
-    linear[-1] = 1.0
-    reg = Regularizer(l2_coeff=l2, linear=linear)
     lower = np.full(dim, -math.inf)
     upper = np.full(dim, math.inf)
     lower[-1], upper[-1] = lo, hi
@@ -333,10 +317,9 @@ def build_gdro(data, divergence="cvar", alpha=None, lam=1.0, weight_decay=0.0,
         risks = _group_risks(data, x[:-1])
         return {"worst_group_risk": worst_fraction_group_metric(risks, worst_share, mode="mean")}
 
-    return ProblemInstance(
-        n=data.n_groups, dim=dim, outer=outer, inners=inners,
-        regularizer=reg, domain=domain, flat_view=view, aux_metrics=aux_metrics,
-    )
+    return ProblemInstance(outer=outer, inners=inners,
+                           regularizer=_dual_form_regularizer(dim, weight_decay), domain=domain,
+                           flat_view=view, aux_metrics=aux_metrics)
 
 
 def cvar_objective(data, alpha, weight_decay, w, c):
@@ -479,40 +462,28 @@ def build_pauc(data, surrogate="squared_hinge", weight_decay=0.0):
     with outer hinge scaled by 1/(1-alpha), plus the '+s' linear term.  The
     oracles share one copy of the negatives and one cache of their scores,
     so an exact evaluation computes `neg @ w` once."""
-    n_pos = len(data.positives)
     dim = data.positives.shape[1] + 1
-    outer = ScaledPositivePart(1.0 - data.alpha)
     scores = _NegativeScores(data.negatives)
-    inners = [PaucInnerOracle(data.positives[i], scores.neg, surrogate, scores)
-              for i in range(n_pos)]
-    l2 = np.full(dim, weight_decay)
-    l2[-1] = 0.0
-    linear = np.zeros(dim)
-    linear[-1] = 1.0
-    reg = Regularizer(l2_coeff=l2, linear=linear)
-    return ProblemInstance(
-        n=n_pos, dim=dim, outer=outer, inners=inners,
-        regularizer=reg, domain=BoxDomain.unbounded(dim),
-    )
+    inners = [PaucInnerOracle(pos, scores.neg, surrogate, scores) for pos in data.positives]
+    return ProblemInstance(outer=ScaledPositivePart(1.0 - data.alpha), inners=inners,
+                           regularizer=_dual_form_regularizer(dim, weight_decay),
+                           domain=BoxDomain.unbounded(dim))
 
 
 def build_cvar_scalar(risks, alpha):
     """Tiny diagnostic problem: minimize (1/(alpha*n)) sum_i (r_i - c)_+ + c
     over the scalar c, with fixed component levels r_i.  Used to study the
-    dual-table radius and sparsity at the optimum."""
+    dual-table radius and sparsity at the optimum, the minimizer x_star =
+    [c_star]."""
     risks = np.asarray(risks, dtype=float)
     n = len(risks)
-    outer = ScaledPositivePart(alpha)
-    inners = [AffineScalarOracle(a=[-1.0], b=float(r)) for r in risks]
-    reg = Regularizer(l2_coeff=0.0, linear=np.array([1.0]))
-    lo, hi = float(risks.min()) - 1.0, float(risks.max()) + 1.0
-    problem = ProblemInstance(
-        n=n, dim=1, outer=outer, inners=inners, regularizer=reg,
-        domain=BoxDomain(lo, hi, 1),
-    )
     # exact minimizer over c: derivative 1 - #{r_i > c}/(alpha*n) crosses zero
     # where exactly alpha*n levels exceed c
     order = np.sort(risks)
     k = int(round(alpha * n))
     c_star = 0.5 * (order[n - k - 1] + order[n - k]) if 0 < k < n else float(order[0])
-    return problem, c_star
+    lo, hi = float(risks.min()) - 1.0, float(risks.max()) + 1.0
+    return ProblemInstance(outer=ScaledPositivePart(alpha),
+                           inners=[AffineScalarOracle(a=[-1.0], b=float(r)) for r in risks],
+                           regularizer=Regularizer(l2_coeff=0.0, linear=np.array([1.0])),
+                           domain=BoxDomain(lo, hi, 1), x_star=np.array([c_star]))

@@ -160,7 +160,15 @@ class FlatSampleView(ABC):
 @dataclass
 class ProblemInstance:
     """The tuple (f, g_i, r, X) with exact evaluation and sampling support:
-    one `OuterFunction` f shared by every component.
+    one `OuterFunction` f shared by every component, and what is known of
+    the optimum, the minimizer `x_star` and the optimal value `f_star` (None
+    where unknown), which `solvers.run` reads for its gap column.
+
+    `n` (the number of inners), `dim` (the domain's) and `mu` (the
+    regularizer's strong-convexity modulus) are derived, as are the
+    attributes below, so none of them can disagree with the parts.  An
+    `l2_coeff` or `linear` array of the regularizer, and `x_star`, must have
+    length `dim`.
 
     A block solver keeps one scalar per component in its state's `table`
     (see `solvers.init_state`): the dual values y_i for quadratic ALEXR, the
@@ -187,25 +195,30 @@ class ProblemInstance:
     optionally reports extra named diagnostics alongside the objective.
     """
 
-    n: int
-    dim: int
     outer: OuterFunction
     inners: Sequence[InnerOracle]
     regularizer: Regularizer
     domain: BoxDomain
     flat_view: Optional[FlatSampleView] = None
     aux_metrics: object = None
+    f_star: Optional[float] = None
+    x_star: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidParameterError("n must be at least 1")
+        if len(self.inners) == 0:
+            raise InvalidParameterError("inners must be non-empty")
         if not isinstance(self.outer, OuterFunction):
             raise InvalidParameterError(
                 f"outer must be one OuterFunction, got {type(self.outer).__name__}")
-        if len(self.inners) != self.n:
-            raise InvalidParameterError("inners must have length n")
-        if self.domain.dim != self.dim:
-            raise InvalidParameterError("domain dimension does not match primal dimension")
+        reg = self.regularizer
+        self.n, self.dim, self.mu = len(self.inners), self.domain.dim, reg.mu
+        # a scalar l2_coeff applies to every coordinate
+        sized = {"regularizer.l2_coeff": reg.l2_coeff if np.ndim(reg.l2_coeff) else None,
+                 "regularizer.linear": reg.linear, "x_star": self.x_star}
+        for name, value in sized.items():
+            if value is not None and np.shape(value) != (self.dim,):
+                raise InvalidParameterError(
+                    f"{name} has shape {np.shape(value)}; domain.dim is {self.dim}")
         nonlinear = next((i for i, g in enumerate(self.inners) if not g.is_affine), None)
         if nonlinear is not None and not self.outer.is_monotone:
             raise InvalidParameterError(

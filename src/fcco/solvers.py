@@ -433,19 +433,21 @@ def _all_finite(a):
     return math.isfinite(np.vdot(a, a)) or np.isfinite(a).all()
 
 
-def run(solver, problem, eval_every, f_star=None, x_star=None):
+def run(solver, problem, eval_every):
     """Execute exactly `solver.T` iterations, recording metrics every
     `eval_every` iterations (plus iterations 0 and T).
 
-    The `gap` column is the run's convergence measure: (mu/2)*||x_t -
-    x_star||^2 when averaging='last' and x_star is known; else, when f_star
-    is known, F(x_avg_t) - f_star under averaging='uniform' and F(x_t) -
-    f_star under averaging='last'; else NaN.  Deterministic for a fixed
+    The `gap` column is the run's convergence measure, taken against the
+    problem's own optimum: (mu/2)*||x_t - x_star||^2 when averaging='last'
+    and `problem.x_star` is known; else, when `problem.f_star` is known,
+    F(x_avg_t) - f_star under averaging='uniform' and F(x_t) - f_star under
+    averaging='last'; else NaN.  Deterministic for a fixed
     (solver, problem, seed).  Raises DivergenceError at the first iteration
     whose iterate or table is not finite, whatever `eval_every` is.
     """
     if eval_every < 1:
         raise InvalidParameterError("eval_every must be at least 1")
+    f_star, x_star = problem.f_star, problem.x_star
     if solver.averaging == "last" and x_star is not None:
         measure = "distance"
     elif f_star is not None:
@@ -458,7 +460,7 @@ def run(solver, problem, eval_every, f_star=None, x_star=None):
     step_fn = alexr_step if is_alexr else _BASELINE_STEPS[solver.variant]
 
     exact_ok = problem.supports_exact
-    mu = problem.regularizer.mu
+    mu = problem.mu
     x_sum = np.zeros(problem.dim)
     rows = []
     start = time.perf_counter_ns()

@@ -55,7 +55,7 @@ def test_01_hard_instance_optimum_recovery():
     for seed in range(1, 11):
         cfg = strongly_convex_preset(mu=inst.mu, n=100, S=10, B=1, T=200_000,
                                      epsilon=1e-3, seed=seed)
-        rec = run(cfg, inst.problem, eval_every=200_000, x_star=inst.x_star)
+        rec = run(cfg, inst, eval_every=200_000)
         gaps.append(rec.rows[-1].gap)  # (mu/2) * ||x_T - x_star||^2
     elapsed = time.perf_counter() - start
     mean_gap = float(np.mean(gaps))
@@ -137,7 +137,7 @@ def test_03_representation_equivalence():
                                noise=GaussianNoise(0.5))
             for _ in range(n)
         ]
-        problem = ProblemInstance(n=n, dim=dim, outer=outer, inners=inners,
+        problem = ProblemInstance(outer=outer, inners=inners,
                                   regularizer=Regularizer(l2_coeff=0.2),
                                   domain=BoxDomain.unbounded(dim))
         cfg = AlexrConfig(eta=eta, tau=tau, theta=theta, S=S, B=B, T=T,
@@ -191,11 +191,11 @@ def test_04_moving_average_reduction():
                             psi_mode="conjugate", seed=seed)
         cfg_s = BaselineConfig(variant="sox", step=0.5, gamma=1.0 / (1.0 + tau),
                                S=5, B=2, T=T, seed=seed)
-        s_a = init_state(cfg_a, inst.problem)
-        s_s = init_state(cfg_s, inst.problem)
+        s_a = init_state(cfg_a, inst)
+        s_s = init_state(cfg_s, inst)
         for _ in range(T):
-            alexr_step(s_a, cfg_a, inst.problem)
-            sox_step(s_s, cfg_s, inst.problem)
+            alexr_step(s_a, cfg_a, inst)
+            sox_step(s_s, cfg_s, inst)
             worst = max(worst,
                         float(np.max(np.abs(s_a.x - s_s.x))),
                         float(np.max(np.abs(s_a.table - s_s.table))))
@@ -393,7 +393,8 @@ def test_11_dual_radius_sparsity():
     alpha = 0.5
     n = 40
     risks = np.linspace(0.05, 1.0, n)
-    problem, c_star = build_cvar_scalar(risks, alpha=alpha)
+    problem = build_cvar_scalar(risks, alpha=alpha)
+    c_star = problem.x_star[0]
     witness = compute_dual_witness(problem, np.array([c_star]))
     rep = dual_radius(problem, witness, np.zeros(n))
     cap = problem.outer.lipschitz

@@ -42,6 +42,16 @@ def test_readme_imports_resolve():
             assert hasattr(mod, name.strip()), (module, name)
 
 
+def test_readme_quick_start_runs_verbatim(capsys):
+    # the documented calls run and print the strongly convex preset's gap,
+    # which ends below the target it was given
+    block = re.search(r"## Quick start \(library\)\n\n```python\n(.*?)```", README.read_text(),
+                      re.DOTALL).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    gap = float(capsys.readouterr().out)
+    assert 0.0 <= gap <= 1e-3
+
+
 def test_import_loads_every_layer():
     # a fresh interpreter, so modules other tests imported do not count;
     # reading a LIBSVM file leaves scipy unloaded too

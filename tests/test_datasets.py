@@ -317,3 +317,20 @@ def test_dataset_validation():
     # no negative to rank a positive against: sampling one would fail later
     with pytest.raises(DataError, match="^pAUC data holds no negatives$"):
         PaucDataset(positives=np.zeros((4, 1)), negatives=np.zeros((0, 1)), alpha=0.5)
+
+
+def test_pauc_dataset_refuses_positives_and_negatives_of_different_widths():
+    # used to build, then fail with a matmul ValueError in the first step
+    with pytest.raises(DataError, match=r"^positives \(4, 3\) and negatives \(5, 2\) "
+                                        "differ in width$"):
+        PaucDataset(positives=np.zeros((4, 3)), negatives=np.zeros((5, 2)), alpha=0.5)
+
+
+@pytest.mark.parametrize("n_labels, n_group_of", [(8, 10), (10, 8), (8, 8)])
+def test_grouped_dataset_refuses_columns_of_different_lengths(n_labels, n_group_of):
+    # 10 feature rows with 8 labels used to build with n_samples 8, then
+    # raise IndexError in a GDRO step
+    with pytest.raises(DataError, match=rf"^features \(10, 2\), labels \({n_labels},\) and "
+                                        rf"group_of \({n_group_of},\) differ in length$"):
+        GroupedDataset(features=np.zeros((10, 2)), labels=np.ones(n_labels),
+                       group_of=np.zeros(n_group_of, dtype=int), n_groups=1)

@@ -350,7 +350,7 @@ def test_readme_configs_validate():
 def make_records(T=20):
     inst = build_hard_smooth(5, 0.3, 1.0)
     cfg = AlexrConfig(eta=0.5, tau=1.0, theta=1.0, S=2, B=1, T=T, seed=3, label="alexr")
-    return [run(cfg, inst.problem, eval_every=5, f_star=inst.f_star, x_star=inst.x_star)]
+    return [run(cfg, inst, eval_every=5)]
 
 
 def test_emit_empty_records_header_only(tmp_path):
@@ -688,8 +688,7 @@ def test_iterations_to_reach_uses_seed_mean():
     records = []
     for seed in (1, 2, 3):
         cfg = AlexrConfig(eta=0.5, tau=1.0, theta=1.0, S=2, B=1, T=100, seed=seed)
-        records.append(run(cfg, inst.problem, eval_every=10,
-                           f_star=inst.f_star, x_star=inst.x_star))
+        records.append(run(cfg, inst, eval_every=10))
     hit = iterations_to_reach(records, 1e9)
     assert hit == 0  # trivially reached at the first recorded row
     assert iterations_to_reach(records, -1.0) is None

@@ -37,16 +37,16 @@ def pauc_double_loop(pos, neg, alpha):
 
 def test_objective_gap_at_optimum_and_identity():
     inst = build_hard_smooth(10, 0.3, 1.0)
-    assert evaluate_objective(inst.problem, inst.x_star) - inst.f_star == pytest.approx(0.0, abs=1e-12)
+    assert evaluate_objective(inst, inst.x_star) - inst.f_star == pytest.approx(0.0, abs=1e-12)
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = rng.uniform(-1, 1, size=10)
-        assert evaluate_objective(inst.problem, x) - inst.f_star >= -1e-9
+        assert evaluate_objective(inst, x) - inst.f_star >= -1e-9
 
 
 def test_objective_gap_at_origin():
     inst = build_hard_smooth(10, 0.3, 1.0)
-    assert evaluate_objective(inst.problem, np.zeros(10)) - inst.f_star == pytest.approx(0.03)
+    assert evaluate_objective(inst, np.zeros(10)) - inst.f_star == pytest.approx(0.03)
 
 
 def test_distance_sq_gap():
@@ -54,7 +54,7 @@ def test_distance_sq_gap():
     # (mu/2)*||x_t - x_star||^2
     inst = build_hard_smooth(100, 0.3, 1.0)
     cfg = AlexrConfig(eta=0.5, tau=1.0, theta=1.0, S=4, B=1, T=30, averaging="last")
-    rows = run(cfg, inst.problem, 10, f_star=inst.f_star, x_star=inst.x_star).rows
+    rows = run(cfg, inst, 10).rows
     # x0 = 0 and x_star = -0.2 per coordinate: squared distance 4, mu = 1/200
     assert rows[0].dist_sq == pytest.approx(4.0)
     assert rows[0].gap == pytest.approx(0.01)
@@ -114,14 +114,14 @@ def test_worst_fraction_examples():
 
 
 def test_dual_radius_zero_when_witness_matches_start():
-    problem, _c = build_cvar_scalar(np.linspace(0.1, 1.0, 8), alpha=0.5)
+    problem = build_cvar_scalar(np.linspace(0.1, 1.0, 8), alpha=0.5)
     y = np.full(8, 0.7)
     report = dual_radius(problem, y, y)
     assert report.omega_y0 == 0.0
 
 
 def test_dual_radius_worst_case_attained():
-    problem, _c = build_cvar_scalar(np.linspace(0.1, 1.0, 8), alpha=0.5)
+    problem = build_cvar_scalar(np.linspace(0.1, 1.0, 8), alpha=0.5)
     cap = problem.outer.lipschitz
     report = dual_radius(problem, np.full(8, cap), np.zeros(8))
     assert report.omega_y0 == pytest.approx(report.worst_case)
@@ -131,7 +131,8 @@ def test_dual_radius_worst_case_attained():
 
 def test_dual_radius_sparsity_at_optimum():
     risks = np.linspace(0.05, 1.0, 20)
-    problem, c_star = build_cvar_scalar(risks, alpha=0.5)
+    problem = build_cvar_scalar(risks, alpha=0.5)
+    c_star = problem.x_star[0]
     witness = compute_dual_witness(problem, np.array([c_star]))
     report = dual_radius(problem, witness, np.zeros(20))
     assert report.sparsity_fraction == pytest.approx(0.5)
@@ -145,7 +146,7 @@ def test_dual_radius_conjugate_mode():
     inst = build_hard_smooth(4, 0.3, 1.0)
     y0 = np.zeros(4)
     y = np.full(4, 0.3)
-    rep = dual_radius(inst.problem, y, y0, psi_mode="conjugate")
+    rep = dual_radius(inst, y, y0, psi_mode="conjugate")
     # for the smooth hard outer, the conjugate divergence equals the
     # quadratic one: f*(y) = (y - nu)^2/2
     assert rep.omega_y0 == pytest.approx(0.5 * np.sum((y - y0) ** 2))

@@ -565,9 +565,9 @@ def built_problem(family):
     from fcco.instances import build_gdro, build_hard_nonsmooth, build_hard_smooth, build_pauc
 
     if family == "hard_smooth":
-        return build_hard_smooth(12, 0.3, 0.5).problem
+        return build_hard_smooth(12, 0.3, 0.5)
     if family == "hard_nonsmooth":
-        return build_hard_nonsmooth(12, 0.3, 1.0, 2.0, 0.5).problem
+        return build_hard_nonsmooth(12, 0.3, 1.0, 2.0, 0.5)
     if family == "gdro_cvar":
         return build_gdro(build_synthetic_gdro(6, 4, 40, 0.5, np.random.default_rng(0)), "cvar", alpha=0.5)
     return build_pauc(build_synthetic_pauc(15, 40, 4, 1.0, 0.5, np.random.default_rng(0)))

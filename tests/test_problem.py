@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from fcco.errors import (
 )
 from fcco.instances import (
     AffineScalarOracle,
-    BuiltProblem,
     CoordinateNoiseKernel,
     CoordinateNoiseOracle,
     GaussianNoise,
@@ -40,7 +40,7 @@ def scalar_problem(outer, offsets, reg=None, box=None):
     """n scalar components g_i(x) = x + b_i on a 1-d primal variable."""
     inners = [AffineScalarOracle(a=[1.0], b=b) for b in offsets]
     return ProblemInstance(
-        n=len(offsets), dim=1, outer=outer, inners=inners,
+        outer=outer, inners=inners,
         regularizer=reg or Regularizer(),
         domain=box or BoxDomain.unbounded(1),
     )
@@ -51,12 +51,12 @@ def scalar_problem(outer, offsets, reg=None, box=None):
 
 def test_hard_smooth_objective_at_known_minimizer():
     inst = build_hard_smooth(10, 0.3, 1.0)
-    assert evaluate_objective(inst.problem, inst.x_star) == pytest.approx(-0.03, abs=1e-12)
+    assert evaluate_objective(inst, inst.x_star) == pytest.approx(-0.03, abs=1e-12)
 
 
 def test_zero_problem_objective():
     prob = ProblemInstance(
-        n=3, dim=2, outer=Identity(),
+        outer=Identity(),
         inners=[AffineScalarOracle(a=[0.0, 0.0], b=0.0)] * 3,
         regularizer=Regularizer(), domain=BoxDomain.unbounded(2),
     )
@@ -85,7 +85,7 @@ def test_objective_requires_exact_oracles():
         supports_exact = False
 
     prob = ProblemInstance(
-        n=1, dim=1, outer=PositivePart(),
+        outer=PositivePart(),
         inners=[StreamOnlyOracle(a=[1.0])],
         regularizer=Regularizer(), domain=BoxDomain.unbounded(1),
     )
@@ -272,42 +272,55 @@ def test_instance_validation_rules():
 
     with pytest.raises(InvalidParameterError, match="component 1: nonlinear inner"):
         ProblemInstance(
-            n=2, dim=1, outer=HuberHard(0.3),
+            outer=HuberHard(0.3),
             inners=[AffineScalarOracle(a=[1.0]), NonlinearOracle(a=[1.0])],
-            regularizer=Regularizer(), domain=BoxDomain.unbounded(1),
-        )
-    with pytest.raises(InvalidParameterError, match="inners must have length n"):
-        ProblemInstance(
-            n=2, dim=1, outer=PositivePart(),
-            inners=[AffineScalarOracle(a=[1.0])],
             regularizer=Regularizer(), domain=BoxDomain.unbounded(1),
         )
     # a per-component outer list fails here, not as an AttributeError in a step
     with pytest.raises(InvalidParameterError, match="^outer must be one OuterFunction, got list"):
         ProblemInstance(
-            n=2, dim=1, outer=[HuberHard(0.3)] * 2,
+            outer=[HuberHard(0.3)] * 2,
             inners=[AffineScalarOracle(a=[1.0])] * 2,
             regularizer=Regularizer(), domain=BoxDomain.unbounded(1),
         )
+    with pytest.raises(InvalidParameterError, match="^inners must be non-empty$"):
+        ProblemInstance(outer=PositivePart(), inners=[], regularizer=Regularizer(),
+                        domain=BoxDomain.unbounded(1))
+
+
+@pytest.mark.parametrize("field, parts", [
+    ("regularizer.l2_coeff", {"regularizer": Regularizer(l2_coeff=np.ones(2))}),
+    ("regularizer.linear", {"regularizer": Regularizer(linear=np.ones(1))}),
+    ("x_star", {"x_star": np.zeros(2)}),
+])
+def test_instance_refuses_a_part_whose_length_is_not_dim(field, parts):
+    # each used to pass construction and fail later with numpy's message: a
+    # short l2_coeff broadcast in the first step, a short linear term's
+    # matmul at the first evaluation, a short x_star at the first record
+    base = {"outer": PositivePart(), "inners": [AffineScalarOracle(a=np.ones(3))],
+            "regularizer": Regularizer(), "domain": BoxDomain.unbounded(3)}
+    with pytest.raises(InvalidParameterError, match=f"^{re.escape(field)} has shape "
+                                                    r"\(\d\,\); domain\.dim is 3$"):
+        ProblemInstance(**{**base, **parts})
 
 
 # --- derived facts ------------------------------------------------------------
 
 
 def test_problem_types_init_fields_are_pinned():
-    # `kernel` and `population_sizes` are derived from the components, and a
-    # built problem's `mu` is its regularizer's, so none of them is an input
+    # `n`, `dim`, `mu`, `kernel` and `population_sizes` are derived from the
+    # parts, so none of them is an input; the known optimum is
     assert [f.name for f in dataclasses.fields(ProblemInstance) if f.init] == [
-        "n", "dim", "outer", "inners", "regularizer", "domain", "flat_view", "aux_metrics"]
-    assert [f.name for f in dataclasses.fields(BuiltProblem) if f.init] == [
-        "problem", "f_star", "x_star"]
-    built = build_hard_nonsmooth(5, 0.5, 1.0, 2.0, 1.0)
-    assert built.mu == built.problem.regularizer.mu == 2.0 / 5
+        "outer", "inners", "regularizer", "domain", "flat_view", "aux_metrics", "f_star",
+        "x_star"]
+    problem = build_hard_nonsmooth(5, 0.5, 1.0, 2.0, 1.0)
+    assert (problem.n, problem.dim) == (len(problem.inners), problem.domain.dim) == (5, 5)
+    assert problem.mu == problem.regularizer.mu == 2.0 / 5
 
 
 def coordinate_problem(inners, outer):
     n = len(inners)
-    return ProblemInstance(n=n, dim=n, outer=outer, inners=inners,
+    return ProblemInstance(outer=outer, inners=inners,
                            regularizer=Regularizer(l2_coeff=0.1),
                            domain=BoxDomain.symmetric(1.0, n))
 
@@ -321,7 +334,7 @@ def test_hand_built_coordinate_problem_gets_its_kernel():
     kern = coordinate_problem([CoordinateNoiseOracle(i, noise) for i in range(4)], outer).kernel
     assert type(kern) is CoordinateNoiseKernel
     assert kern.noise is noise
-    assert build_hard_smooth(3, 0.3, 1.0).problem.kernel is not None
+    assert build_hard_smooth(3, 0.3, 1.0).kernel is not None
     gdro = build_gdro(build_synthetic_gdro(3, 2, 5, 0.5, np.random.default_rng(0)), alpha=0.5)
     assert gdro.kernel is None
 

@@ -61,7 +61,7 @@ def affine_problem(n, dim, outer, noise_sigma=0.5, seed=0, reg=None, box=None):
         for _ in range(n)
     ]
     return ProblemInstance(
-        n=n, dim=dim, outer=outer, inners=inners,
+        outer=outer, inners=inners,
         regularizer=reg or Regularizer(l2_coeff=0.1),
         domain=box or BoxDomain.unbounded(dim),
     )
@@ -152,7 +152,7 @@ def test_alexr_full_batch_identity_outers_is_proximal_gradient():
     mats = rng.standard_normal((n, dim))
     inners = [AffineScalarOracle(a=mats[i], b=0.0) for i in range(n)]
     reg = Regularizer(l2_coeff=0.5)
-    problem = ProblemInstance(n=n, dim=dim, outer=Identity(), inners=inners,
+    problem = ProblemInstance(outer=Identity(), inners=inners,
                               regularizer=reg, domain=BoxDomain.unbounded(dim))
     cfg = AlexrConfig(eta=2.0, tau=1.0, theta=0.0, S=n, B=1, T=1, seed=0)
     state = init_state(cfg, problem)
@@ -196,12 +196,12 @@ def test_alexr_block_locality():
 def test_alexr_feasibility_and_dual_domains():
     inst = build_hard_smooth(20, 0.3, 1.0)
     cfg = AlexrConfig(eta=0.05, tau=0.5, theta=1.0, S=5, B=1, T=200, seed=7)
-    state = init_state(cfg, inst.problem)
-    f = inst.problem.outer
+    state = init_state(cfg, inst)
+    f = inst.outer
     lo, hi = f.dual_domain()
     for _ in range(200):
-        alexr_step(state, cfg, inst.problem)
-        assert inst.problem.domain.contains(state.x)
+        alexr_step(state, cfg, inst)
+        assert inst.domain.contains(state.x)
         assert np.all(state.table >= lo - 1e-12)
         assert np.all(state.table <= hi + 1e-12)
 
@@ -236,7 +236,7 @@ def per_block(problem):
 def gaussian_coordinate_problem(n, sigma=0.7):
     """Coordinate inners sharing one Gaussian noise object."""
     noise = GaussianNoise(sigma)
-    return ProblemInstance(n=n, dim=n, outer=HuberHard(0.3),
+    return ProblemInstance(outer=HuberHard(0.3),
                            inners=[CoordinateNoiseOracle(i, noise) for i in range(n)],
                            regularizer=Regularizer(l2_coeff=0.1),
                            domain=BoxDomain.symmetric(1.0, n))
@@ -275,7 +275,7 @@ def test_kernel_and_generic_paths_agree():
     # every block solver: same random stream, same elementwise arithmetic
     for inst, smooth in ((build_hard_smooth(12, 0.3, 1.0), True),
                          (build_hard_nonsmooth(12, 0.5, 1.0, 1.0, 1.0), False)):
-        _assert_paths_agree(inst.problem, smooth, T=50, S=4, B=2, seed=11,
+        _assert_paths_agree(inst, smooth, T=50, S=4, B=2, seed=11,
                             thetas=(0.0, 0.5, 1.0))
 
 
@@ -285,8 +285,8 @@ def test_kernel_and_generic_paths_agree():
 def test_kernel_and_generic_paths_agree_on_generated_shapes(n, data, B, theta, seed):
     S = data.draw(st.integers(1, n), label="S")
     # the kernel draws through the noise object, so any noise law takes it
-    for problem, smooth in ((build_hard_smooth(n, 0.3, 1.0).problem, True),
-                            (build_hard_nonsmooth(n, 0.5, 1.0, 1.0, 1.0).problem, False),
+    for problem, smooth in ((build_hard_smooth(n, 0.3, 1.0), True),
+                            (build_hard_nonsmooth(n, 0.5, 1.0, 1.0, 1.0), False),
                             (gaussian_coordinate_problem(n), True)):
         _assert_paths_agree(problem, smooth, T=20, S=S, B=B, seed=seed, thetas=(theta,))
 
@@ -419,12 +419,12 @@ def test_sox_reduction_matches_alexr_conjugate():
                         psi_mode="conjugate", seed=21)
     cfg_s = BaselineConfig(variant="sox", step=0.5, gamma=1.0 / (1.0 + tau),
                            S=3, B=2, T=T, seed=21)
-    s_a = init_state(cfg_a, inst.problem)
-    s_s = init_state(cfg_s, inst.problem)
+    s_a = init_state(cfg_a, inst)
+    s_s = init_state(cfg_s, inst)
     assert np.array_equal(s_a.table, s_s.table)  # shared tracker anchor
     for _ in range(T):
-        alexr_step(s_a, cfg_a, inst.problem)
-        sox_step(s_s, cfg_s, inst.problem)
+        alexr_step(s_a, cfg_a, inst)
+        sox_step(s_s, cfg_s, inst)
         assert np.allclose(s_a.x, s_s.x, atol=1e-12)
         assert np.allclose(s_a.table, s_s.table, atol=1e-12)
 
@@ -497,7 +497,7 @@ def test_bsgd_deterministic_full_batch_is_subgradient_step():
     mats = rng.standard_normal((n, dim))
     inners = [AffineScalarOracle(a=mats[i], b=0.5) for i in range(n)]
     reg = Regularizer()
-    problem = ProblemInstance(n=n, dim=dim, outer=HalfSquareShift(0.0),
+    problem = ProblemInstance(outer=HalfSquareShift(0.0),
                               inners=inners, regularizer=reg,
                               domain=BoxDomain.unbounded(dim))
     cfg = BaselineConfig(variant="bsgd", step=2.0, S=n, B=1, T=1, seed=0)
@@ -598,7 +598,7 @@ def test_sgd_fixed_point_at_zero_gradient():
             return 0.5 * float(diff @ diff), diff
 
     problem = ProblemInstance(
-        n=1, dim=2, outer=Identity(),
+        outer=Identity(),
         inners=[AffineScalarOracle(a=[0.0, 0.0])],
         regularizer=Regularizer(), domain=BoxDomain.unbounded(2),
         flat_view=QuadraticView(),
@@ -623,18 +623,18 @@ def test_sgd_oracle_accounting(gdro_problem):
 def test_run_zero_iterations_records_initial_objective():
     inst = build_hard_smooth(5, 0.3, 1.0)
     cfg = AlexrConfig(eta=1.0, tau=1.0, theta=0.0, S=1, B=1, T=0, seed=0)
-    rec = run(cfg, inst.problem, eval_every=10, f_star=inst.f_star, x_star=inst.x_star)
+    rec = run(cfg, inst, eval_every=10)
     assert len(rec.rows) == 1
     assert rec.rows[0].t == 0
     assert rec.rows[0].objective == pytest.approx(
-        evaluate_objective(inst.problem, inst.problem.initial_point()))
+        evaluate_objective(inst, inst.initial_point()))
 
 
 def test_run_deterministic_metric_streams():
     inst = build_hard_smooth(8, 0.3, 1.0)
     cfg = AlexrConfig(eta=0.1, tau=1.0, theta=1.0, S=2, B=1, T=50, seed=33)
-    rec1 = run(cfg, inst.problem, eval_every=5, f_star=inst.f_star, x_star=inst.x_star)
-    rec2 = run(cfg, inst.problem, eval_every=5, f_star=inst.f_star, x_star=inst.x_star)
+    rec1 = run(cfg, inst, eval_every=5)
+    rec2 = run(cfg, inst, eval_every=5)
     for a, b in zip(rec1.rows, rec2.rows):
         assert (a.t, a.oracle_count, a.objective, a.gap, a.dist_sq) == (
             b.t, b.oracle_count, b.objective, b.gap, b.dist_sq)
@@ -646,7 +646,7 @@ def test_run_records_both_outputs():
     inst = build_hard_smooth(5, 0.3, 1.0)
     cfg = AlexrConfig(eta=1.0, tau=1.0, theta=0.0, S=1, B=1, T=20, seed=0,
                       averaging="uniform")
-    rec = run(cfg, inst.problem, eval_every=5)
+    rec = run(cfg, inst, eval_every=5)
     assert rec.x_last.shape == (5,)
     assert rec.x_avg.shape == (5,)
     assert not np.array_equal(rec.x_last, rec.x_avg)
@@ -655,12 +655,12 @@ def test_run_records_both_outputs():
 def test_run_uniform_average_is_running_mean():
     inst = build_hard_smooth(4, 0.3, 1.0)
     cfg = AlexrConfig(eta=0.5, tau=1.0, theta=1.0, S=2, B=1, T=30, seed=12)
-    state = init_state(cfg, inst.problem)
+    state = init_state(cfg, inst)
     xs = []
     for _ in range(30):
-        alexr_step(state, cfg, inst.problem)
+        alexr_step(state, cfg, inst)
         xs.append(state.x.copy())
-    rec = run(cfg, inst.problem, eval_every=30)
+    rec = run(cfg, inst, eval_every=30)
     assert np.allclose(rec.x_avg, np.mean(xs, axis=0), atol=1e-12)
     assert np.allclose(rec.x_last, xs[-1], atol=1e-12)
 
@@ -705,7 +705,7 @@ def test_run_raises_divergence_at_the_step_that_went_non_finite(monkeypatch, whe
             (state.x if where == "x" else state.table)[3] = bad
 
     _edit_around_step(monkeypatch, edit)
-    problem = build_hard_smooth(20, 0.3, 1.0).problem
+    problem = build_hard_smooth(20, 0.3, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError) as err:
@@ -727,7 +727,7 @@ def test_run_accepts_finite_table_whose_square_overflows(monkeypatch):
         if saved:
             state.table[:] = saved.pop()
 
-    problem = build_hard_smooth(20, 0.3, 1.0).problem
+    problem = build_hard_smooth(20, 0.3, 1.0)
     plain = run(HARD_ALEXR, problem, eval_every=20)
     _edit_around_step(monkeypatch, spoil, restore)
     with warnings.catch_warnings():
@@ -774,9 +774,9 @@ def test_recorded_objectives_equal_array_path_reference(monkeypatch, cfg):
         return evaluate(problem, x)
 
     monkeypatch.setattr(solvers_module, "evaluate_objective", capture)
-    rec = run(cfg, inst.problem, eval_every=25, f_star=inst.f_star)
+    rec = run(cfg, inst, eval_every=25)
     recorded = [v for row in rec.rows for v in (row.objective, row.objective_avg)]
-    expected = [per_component_objective(inst.problem, x) for x in points]
+    expected = [per_component_objective(inst, x) for x in points]
     assert len(rec.rows) == 13
     assert np.array(recorded).view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
 
@@ -786,7 +786,7 @@ def test_conjugate_dual_norm_equals_per_block_gradients_bitwise(family):
     # the recorded ||y|| takes one array call f.grad(table); it must equal
     # the norm of the per-block float-path gradients bit for bit
     if family == "hard_smooth":
-        problem = build_hard_smooth(30, 0.3, 1.0).problem
+        problem = build_hard_smooth(30, 0.3, 1.0)
     else:
         data = build_synthetic_gdro(6, 4, 40, 0.5, np.random.default_rng(0))
         problem = build_gdro(data, divergence="chi2", lam=1.0)
@@ -806,7 +806,7 @@ def test_run_average_distance_decreases_on_seed_mean():
     for seed in range(1, 11):
         cfg = strongly_convex_preset(mu=inst.mu, n=100, S=10, B=1, T=6000,
                                      epsilon=1e-3, seed=seed)
-        rec = run(cfg, inst.problem, eval_every=500, x_star=inst.x_star)
+        rec = run(cfg, inst, eval_every=500)
         curves.append([row.dist_sq for row in rec.rows])
     mean_curve = np.mean(curves, axis=0)
     floor = 2.0 * mean_curve[-1]
