@@ -9,9 +9,8 @@ import operator
 import sys
 import warnings
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
-from typing import List
 
 import numpy as np
 
@@ -20,13 +19,13 @@ from .errors import DataError, InvalidParameterError, LibsvmParseError
 
 @dataclass
 class GroupedDataset:
-    """Feature matrix with +-1 labels and a partition into groups."""
+    """Feature matrix with +-1 labels and a partition into groups, stated
+    once by `group_of` (row i's group id): `n_groups` (the largest id plus
+    one) and `group_index` (each group's rows) are derived from it."""
 
     features: np.ndarray
     labels: np.ndarray
     group_of: np.ndarray
-    n_groups: int
-    group_index: List[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
@@ -35,10 +34,16 @@ class GroupedDataset:
         if not len(self.features) == len(self.labels) == len(self.group_of):
             raise DataError(f"features {self.features.shape}, labels {self.labels.shape} and "
                             f"group_of {self.group_of.shape} differ in length")
-        if not self.group_index:
-            self.group_index = [np.flatnonzero(self.group_of == g) for g in range(self.n_groups)]
-        if any(len(rows) == 0 for rows in self.group_index):
-            raise DataError("grouped dataset contains an empty group")
+        if not self.group_of.size:
+            raise DataError("group_of is empty: a grouped dataset needs at least one row")
+        if self.group_of.min() < 0:
+            raise DataError(f"group_of holds the negative group id {self.group_of.min()}")
+        sizes = np.bincount(self.group_of)
+        if not sizes.all():
+            raise DataError("grouped dataset contains an empty group: no row has group id "
+                            f"{np.argmin(sizes)}")
+        self.n_groups = len(sizes)
+        self.group_index = [np.flatnonzero(self.group_of == g) for g in range(self.n_groups)]
         if not np.all(np.isin(self.labels, (-1.0, 1.0))):
             raise DataError("labels must be +-1")
 
@@ -299,22 +304,16 @@ def load_grouped_csv(stream, group_column, label_column="label", min_group_size=
     if len(bad):
         row, col = bad[0]
         raise DataError(f"row {row + 1}: non-finite value in feature column {feature_cols[col]!r}")
-    group_of = np.asarray(group_of)
-    keep = [g for g in range(len(group_names))
-            if np.count_nonzero(group_of == g) >= min_group_size]
-    if not keep:
+    group_of = np.asarray(group_of, dtype=np.int64)
+    sizes = np.bincount(group_of)
+    kept = (sizes >= min_group_size)[group_of]
+    if not kept.any():
         raise DataError("no group meets the minimum size")
-    if len(keep) < len(group_names):
-        mask = np.isin(group_of, keep)
-        features, labels, group_of = features[mask], labels[mask], group_of[mask]
-        remap = {g: i for i, g in enumerate(keep)}
-        group_of = np.asarray([remap[g] for g in group_of])
-        group_names = [group_names[g] for g in keep]
-    for g, name in enumerate(group_names):
-        if np.count_nonzero(group_of == g) == 1:
-            warnings.warn(f"group {name!r} has a single sample", stacklevel=2)
-    return GroupedDataset(features=features, labels=labels, group_of=group_of,
-                          n_groups=len(group_names))
+    # ids count up in first-appearance order, so sorting the kept ones keeps it
+    kept_ids, group_of = np.unique(group_of[kept], return_inverse=True)
+    for g in kept_ids[sizes[kept_ids] == 1]:
+        warnings.warn(f"group {group_names[g]!r} has a single sample", stacklevel=2)
+    return GroupedDataset(features=features[kept], labels=labels[kept], group_of=group_of)
 
 
 # label noise of build_synthetic_gdro: the logistic link's slope on the
@@ -344,10 +343,8 @@ def build_synthetic_gdro(n_groups, d, samples_per_group, heterogeneity, rng):
         feats.append(x)
         labels.append(y)
         group_of.append(np.full(samples_per_group, g))
-    return GroupedDataset(
-        features=np.vstack(feats), labels=np.concatenate(labels),
-        group_of=np.concatenate(group_of), n_groups=n_groups,
-    )
+    return GroupedDataset(features=np.vstack(feats), labels=np.concatenate(labels),
+                          group_of=np.concatenate(group_of))
 
 
 def build_synthetic_pauc(n_pos, n_neg, d, separation, alpha, rng):

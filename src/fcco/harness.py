@@ -449,7 +449,11 @@ def run_experiment(config, out_dir):
     a manifest.
 
     Files are written only after every cell has run, and partial files are
-    removed on failure."""
+    removed on failure.  `epsilons` and `budget` are sweep-rate's, and a
+    config that sets them is refused before anything is built."""
+    for name in ("epsilons", "budget"):
+        if getattr(config, name) is not None:
+            raise ConfigValidationError(name, "run does not read it; only sweep-rate does")
     # One build up front, before out_dir exists, and one per cell: the traced
     # benchmark pins these 1 + cells x seeds builds (ROADMAP item 2).
     _build(config.problem)

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import DataError, InvalidParameterError
+from .errors import InvalidParameterError
 from .metrics import worst_fraction_group_metric
 from .outers import ChiSquareOuter, HingeHard, HuberHard, ScaledPositivePart
 from .problem import (
@@ -280,8 +280,6 @@ def build_gdro(data, divergence="cvar", alpha=None, lam=1.0, weight_decay=0.0,
     only.  The `worst_group_risk` diagnostic averages the worst
     ceil(alpha*n) groups under cvar and the worst half under chi2.
     """
-    if data.n_groups < 1:
-        raise DataError("dataset has no groups")
     if lam <= 0:
         raise InvalidParameterError("lam must be positive")
     d = data.features.shape[1]
@@ -300,12 +298,8 @@ def build_gdro(data, divergence="cvar", alpha=None, lam=1.0, weight_decay=0.0,
     else:
         raise InvalidParameterError(f"unknown divergence {divergence!r}")
 
-    inners = []
-    for g in range(data.n_groups):
-        rows = data.group_index[g]
-        if len(rows) == 0:
-            raise DataError(f"group {g} is empty")
-        inners.append(GroupRiskOracle(data.features[rows], data.labels[rows], lam))
+    inners = [GroupRiskOracle(data.features[rows], data.labels[rows], lam)
+              for rows in data.group_index]
 
     lower = np.full(dim, -math.inf)
     upper = np.full(dim, math.inf)

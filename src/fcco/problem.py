@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -147,9 +148,10 @@ class FlatSampleView(ABC):
     def loss_and_grad(self, x, idx):
         """Mean loss and mean gradient over the samples in `idx`."""
 
+    @cached_property
     def inverse_frequency_probs(self):
-        """Per-sample probabilities: group g is drawn with probability
-        proportional to 1/|g|, then a sample uniformly within the group."""
+        """Per-sample probabilities, computed once: group g is drawn with
+        probability proportional to 1/|g|, then a sample uniformly within it."""
         if self.group_of is None:
             raise InvalidParameterError("flat view carries no group labels")
         counts = np.bincount(self.group_of)

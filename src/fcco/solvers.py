@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -68,6 +68,14 @@ from .problem import evaluate_objective, primal_prox_step, sample_outer_batch
 
 PSI_QUADRATIC = "quadratic"
 PSI_CONJUGATE = "conjugate"
+
+
+def _check_schedule(cfg):
+    """The range checks of the fields AlexrConfig and BaselineConfig share."""
+    if cfg.S < 1 or cfg.B < 1 or cfg.T < 0:
+        raise InvalidParameterError("S, B must be >= 1 and T >= 0")
+    if cfg.averaging not in ("last", "uniform"):
+        raise InvalidParameterError(f"unknown averaging {cfg.averaging!r}")
 
 
 @dataclass
@@ -99,12 +107,9 @@ class AlexrConfig:
             raise InvalidParameterError("eta and tau must be positive")
         if not 0.0 <= self.theta <= 1.0:
             raise InvalidParameterError("theta must lie in [0, 1]")
-        if self.S < 1 or self.B < 1 or self.T < 0:
-            raise InvalidParameterError("S, B must be >= 1 and T >= 0")
+        _check_schedule(self)
         if self.psi_mode not in (PSI_QUADRATIC, PSI_CONJUGATE):
             raise InvalidParameterError(f"unknown psi_mode {self.psi_mode!r}")
-        if self.averaging not in ("last", "uniform"):
-            raise InvalidParameterError(f"unknown averaging {self.averaging!r}")
 
 
 @dataclass
@@ -137,8 +142,7 @@ class BaselineConfig:
             raise InvalidParameterError("gamma must lie in (0, 1]")
         if self.variant == "msvr" and self.gamma >= 1.0:
             raise InvalidParameterError("msvr needs gamma < 1: its correction degenerates at gamma=1")
-        if self.S < 1 or self.B < 1 or self.T < 0:
-            raise InvalidParameterError("S, B must be >= 1 and T >= 0")
+        _check_schedule(self)
         if not self.label:
             self.label = self.variant
 
@@ -362,8 +366,7 @@ def sgd_step(state, cfg, problem):
     rng = state.rng
     k = cfg.S * cfg.B
     if cfg.variant == "sgd_uw":
-        probs = view.inverse_frequency_probs()
-        idx = rng.choice(view.n_samples, size=k, replace=True, p=probs)
+        idx = rng.choice(view.n_samples, size=k, replace=True, p=view.inverse_frequency_probs)
     else:
         idx = rng.integers(0, view.n_samples, size=k)
     _loss, grad = view.loss_and_grad(state.x, idx)
@@ -400,13 +403,12 @@ class RunRow:
 
 @dataclass
 class RunRecord:
-    """Per-iteration metric stream plus final iterates and a config echo;
-    `dual_final` is ALEXR's final table (None for the baselines)."""
+    """Per-iteration metric stream plus final iterates; `dual_final` is
+    ALEXR's final table (None for the baselines)."""
 
     solver: str
     seed: int
     rows: list
-    config: dict
     x_last: np.ndarray
     x_avg: np.ndarray
     dual_final: Optional[np.ndarray] = None
@@ -438,17 +440,18 @@ def run(solver, problem, eval_every):
     `eval_every` iterations (plus iterations 0 and T).
 
     The `gap` column is the run's convergence measure, taken against the
-    problem's own optimum: (mu/2)*||x_t - x_star||^2 when averaging='last'
-    and `problem.x_star` is known; else, when `problem.f_star` is known,
-    F(x_avg_t) - f_star under averaging='uniform' and F(x_t) - f_star under
-    averaging='last'; else NaN.  Deterministic for a fixed
-    (solver, problem, seed).  Raises DivergenceError at the first iteration
-    whose iterate or table is not finite, whatever `eval_every` is.
+    problem's own optimum: (mu/2)*||x_t - x_star||^2 when averaging='last',
+    `problem.x_star` is known and mu > 0 (at mu = 0 it reads 0 anywhere);
+    else F(x_avg_t) - f_star under averaging='uniform' and F(x_t) - f_star
+    under 'last' when `problem.f_star` is known; else NaN.  Deterministic
+    for a fixed (solver, problem, seed).  Raises DivergenceError at the
+    first iteration whose iterate or table is not finite, whatever
+    `eval_every` is.
     """
     if eval_every < 1:
         raise InvalidParameterError("eval_every must be at least 1")
-    f_star, x_star = problem.f_star, problem.x_star
-    if solver.averaging == "last" and x_star is not None:
+    f_star, x_star, mu = problem.f_star, problem.x_star, problem.mu
+    if solver.averaging == "last" and x_star is not None and mu > 0:
         measure = "distance"
     elif f_star is not None:
         measure = "objective_avg" if solver.averaging == "uniform" else "objective"
@@ -460,7 +463,6 @@ def run(solver, problem, eval_every):
     step_fn = alexr_step if is_alexr else _BASELINE_STEPS[solver.variant]
 
     exact_ok = problem.supports_exact
-    mu = problem.mu
     x_sum = np.zeros(problem.dim)
     rows = []
     start = time.perf_counter_ns()
@@ -499,7 +501,7 @@ def run(solver, problem, eval_every):
 
     x_avg = x_sum / state.t if state.t > 0 else state.x.copy()
     return RunRecord(
-        solver=solver.label, seed=solver.seed, rows=rows, config=asdict(solver),
+        solver=solver.label, seed=solver.seed, rows=rows,
         x_last=state.x.copy(), x_avg=x_avg,
         dual_final=state.table.copy() if is_alexr else None,
     )

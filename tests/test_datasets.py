@@ -1,5 +1,6 @@
 """Text ingestion and synthetic dataset generators."""
 
+import dataclasses
 import io
 import os
 import tracemalloc
@@ -238,6 +239,21 @@ def test_load_grouped_csv_singleton_warns_and_threshold_drops():
         load_grouped_csv(text, group_column="group", min_group_size=5)
 
 
+def test_load_grouped_csv_drops_small_groups_and_keeps_order_and_names():
+    # the singleton 'b' falls below a minimum of 2: 'c' and 'a' stay groups
+    # 0 and 1, in first-appearance order, and no warning is left
+    text = "f0,label,group\n1.0,1,c\n2.0,-1,b\n3.0,1,a\n4.0,-1,c\n5.0,1,a\n"
+    with pytest.warns(UserWarning, match="^group 'b' has a single sample$"):
+        data = load_grouped_csv(text, group_column="group")
+    assert data.group_of.tolist() == [0, 1, 2, 0, 2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = load_grouped_csv(text, group_column="group", min_group_size=2)
+    assert data.group_of.tolist() == [0, 1, 0, 1]
+    assert data.features[:, 0].tolist() == [1.0, 3.0, 4.0, 5.0]
+    assert data.n_groups == 2
+
+
 def test_grouped_csv_round_trip():
     rng = np.random.default_rng(1)
     data = build_synthetic_gdro(3, 2, 5, 0.3, rng)
@@ -268,8 +284,7 @@ def grouped_datasets(draw):
     group_of = []
     for _ in range(n):
         group_of.append(draw(st.integers(0, max(group_of, default=-1) + 1)))
-    return GroupedDataset(features=features, labels=labels, group_of=np.array(group_of),
-                          n_groups=max(group_of) + 1)
+    return GroupedDataset(features=features, labels=labels, group_of=np.array(group_of))
 
 
 @settings(max_examples=200, deadline=None)
@@ -311,7 +326,7 @@ def test_synthetic_pauc_dataset():
 def test_dataset_validation():
     with pytest.raises(DataError):
         GroupedDataset(features=np.zeros((2, 1)), labels=np.array([1.0, 2.0]),
-                       group_of=np.array([0, 0]), n_groups=1)
+                       group_of=np.array([0, 0]))
     with pytest.raises(InvalidParameterError):
         PaucDataset(positives=np.zeros((2, 1)), negatives=np.zeros((3, 1)), alpha=0.9)
     # no negative to rank a positive against: sampling one would fail later
@@ -326,6 +341,28 @@ def test_pauc_dataset_refuses_positives_and_negatives_of_different_widths():
         PaucDataset(positives=np.zeros((4, 3)), negatives=np.zeros((5, 2)), alpha=0.5)
 
 
+def test_grouped_dataset_derives_its_groups_from_group_of():
+    # n_groups and group_index were passed beside group_of, and nothing
+    # checked that they agreed; now group_of alone states the partition
+    assert [f.name for f in dataclasses.fields(GroupedDataset)] == ["features", "labels",
+                                                                    "group_of"]
+    data = GroupedDataset(features=np.zeros((5, 1)), labels=np.ones(5), group_of=[1, 0, 1, 2, 0])
+    assert data.n_groups == 3
+    assert [rows.tolist() for rows in data.group_index] == [[1, 4], [0, 2], [3]]
+
+
+@pytest.mark.parametrize("group_of, message", [
+    ([], "^group_of is empty: a grouped dataset needs at least one row$"),
+    # a -1 id used to be left out of the oracles but kept in sgd_uw's view
+    ([0, -1, 1], "^group_of holds the negative group id -1$"),
+    ([0, 2, 2], "^grouped dataset contains an empty group: no row has group id 1$"),
+])
+def test_grouped_dataset_refuses_ids_that_are_not_a_partition(group_of, message):
+    n = len(group_of)
+    with pytest.raises(DataError, match=message):
+        GroupedDataset(features=np.zeros((n, 2)), labels=np.ones(n), group_of=group_of)
+
+
 @pytest.mark.parametrize("n_labels, n_group_of", [(8, 10), (10, 8), (8, 8)])
 def test_grouped_dataset_refuses_columns_of_different_lengths(n_labels, n_group_of):
     # 10 feature rows with 8 labels used to build with n_samples 8, then
@@ -333,4 +370,4 @@ def test_grouped_dataset_refuses_columns_of_different_lengths(n_labels, n_group_
     with pytest.raises(DataError, match=rf"^features \(10, 2\), labels \({n_labels},\) and "
                                         rf"group_of \({n_group_of},\) differ in length$"):
         GroupedDataset(features=np.zeros((10, 2)), labels=np.ones(n_labels),
-                       group_of=np.zeros(n_group_of, dtype=int), n_groups=1)
+                       group_of=np.zeros(n_group_of, dtype=int))

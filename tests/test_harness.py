@@ -391,7 +391,7 @@ def test_emit_json_lines_format(tmp_path):
 def _record(solver, seed, objectives):
     rows = [RunRow(t=t, oracle_count=2 * t, objective=v, objective_avg=v, gap=-v,
                    dist_sq=0.0, dual_norm=0.0, wall_nanos=t) for t, v in enumerate(objectives)]
-    return RunRecord(solver=solver, seed=seed, rows=rows, config={},
+    return RunRecord(solver=solver, seed=seed, rows=rows,
                      x_last=np.zeros(1), x_avg=np.zeros(1))
 
 
@@ -597,6 +597,12 @@ def _baseline(c, name):
      "gamma must lie in (0, 1]"),
     (lambda c: c["solvers"][0]["params"].update(psi_mode="mirror"), "solvers[0]: cell 'alexr'",
      "unknown psi_mode 'mirror'"),
+    # both configs share one check of S, B, T and averaging: a baseline's
+    # misspelt averaging used to run as 'last'
+    (lambda c: c["solvers"][0]["params"].update(averaging="uniformm"), "solvers[0]: cell 'alexr'",
+     "unknown averaging 'uniformm'"),
+    (lambda c: c["solvers"][1]["params"].update(averaging="uniformm"), "solvers[1]: cell 'bsgd'",
+     "unknown averaging 'uniformm'"),
     # a grid cell is named by its label, and a convex preset cell is built
     # too: B=0 used to divide by zero inside the preset
     (lambda c: c["solvers"][0].update(grid={"eta": [0.5, -1.0]}),
@@ -616,6 +622,18 @@ def test_solver_ranges_fail_at_validation(tmp_path, capsys, edit, at, message):
     for command in ("validate", "run"):
         assert cli_main(["--out", str(tmp_path / "out"), command, path]) == 1
         assert capsys.readouterr().err == f"config error: {at}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, value", [("epsilons", [0.1, 0.05]), ("budget", 100)])
+def test_run_refuses_the_sweep_fields(tmp_path, capsys, field, value):
+    # run used to accept them and ignore them, running each solver's own T
+    path = write_config(tmp_path, edited(lambda c: c.update({field: value})))
+    assert cli_main(["--out", str(tmp_path / "out"), "validate", path]) == 0
+    capsys.readouterr()
+    assert cli_main(["--out", str(tmp_path / "out"), "run", path]) == 1
+    assert capsys.readouterr().err == (f"config error: {field}: run does not read it; "
+                                       "only sweep-rate does\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fcco.errors import DegenerateSelectionError, InsufficientPointsError, InvalidParameterError
-from fcco.instances import build_cvar_scalar, build_hard_smooth
+from fcco.instances import build_cvar_scalar, build_hard_nonsmooth, build_hard_smooth
 from fcco.metrics import (
     compute_dual_witness,
     dual_radius,
@@ -15,7 +15,7 @@ from fcco.metrics import (
     worst_fraction_group_metric,
 )
 from fcco.problem import evaluate_objective
-from fcco.solvers import AlexrConfig, run
+from fcco.solvers import AlexrConfig, BaselineConfig, run
 
 
 def pauc_double_loop(pos, neg, alpha):
@@ -61,6 +61,14 @@ def test_distance_sq_gap():
     for row in rows:
         assert row.dist_sq >= 0.0
         assert row.gap == 0.5 * inst.mu * row.dist_sq
+    # at mu = 0 that product is 0 wherever x_t is, and every target would
+    # read as hit at t = 0; the gap falls back to F(x_t) - f_star
+    flat = build_hard_nonsmooth(10, 0.5, 1.0, 0.0, 1.0)
+    assert flat.mu == 0.0
+    rows = run(BaselineConfig("bsgd", step=1.0, S=2, T=200, averaging="last"), flat, 100).rows
+    assert rows[0].gap == pytest.approx(0.5)  # F(0) = 0 and f_star = -beta*nu
+    for row in rows:
+        assert row.gap == row.objective - flat.f_star
 
 
 # --- partial AUC ------------------------------------------------------------

@@ -563,7 +563,7 @@ def test_sgd_single_group_erm_equals_uw_in_distribution():
     # two variants draw from the same distribution
     data = build_synthetic_gdro(1, 2, 30, 0.0, np.random.default_rng(18))
     problem = build_gdro(data, divergence="cvar", alpha=1.0)
-    probs = problem.flat_view.inverse_frequency_probs()
+    probs = problem.flat_view.inverse_frequency_probs
     assert np.allclose(probs, 1.0 / 30, atol=1e-15)
     for variant in ("sgd_erm", "sgd_uw"):
         cfg = BaselineConfig(variant=variant, step=5.0, S=2, B=4, T=20, seed=9)
@@ -575,11 +575,17 @@ def test_sgd_uw_inverse_frequency_weights():
     from fcco.instances import GdroFlatView
 
     view = GdroFlatView(np.zeros((100, 2)), np.ones(100), group_of)
-    probs = view.inverse_frequency_probs()
+    probs = view.inverse_frequency_probs
     assert probs.sum() == pytest.approx(1.0)
     # group masses proportional to (1/90, 1/10) normalized = (0.1, 0.9)
     assert probs[:90].sum() == pytest.approx(0.1)
     assert probs[90:].sum() == pytest.approx(0.9)
+
+
+def test_sgd_uw_sampling_law_is_computed_once_per_view(gdro_problem):
+    # a fact of group_of: sgd_uw reads the same array at every step
+    view = gdro_problem.flat_view
+    assert view.inverse_frequency_probs is view.inverse_frequency_probs
 
 
 def test_sgd_fixed_point_at_zero_gradient():
