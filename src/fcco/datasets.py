@@ -30,7 +30,13 @@ class GroupedDataset:
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
         self.labels = np.asarray(self.labels, dtype=float)
-        self.group_of = np.asarray(self.group_of, dtype=int)
+        group_of = np.asarray(self.group_of)
+        if group_of.dtype.kind == "f":  # a cast to int would truncate 1.9 to 1
+            bad = np.flatnonzero(~np.isfinite(group_of) | (np.trunc(group_of) != group_of))
+            if bad.size:
+                raise DataError(f"group_of holds the non-integer group id {group_of[bad[0]]} "
+                                f"at row {bad[0]}")
+        self.group_of = np.asarray(group_of, dtype=int)
         if not len(self.features) == len(self.labels) == len(self.group_of):
             raise DataError(f"features {self.features.shape}, labels {self.labels.shape} and "
                             f"group_of {self.group_of.shape} differ in length")

@@ -175,6 +175,94 @@ def build_hard_nonsmooth(n, nu, beta, alpha_reg, sigma):
 
 
 # ---------------------------------------------------------------------------
+# margin losses: the inner map of both GDRO and pAUC
+# ---------------------------------------------------------------------------
+
+
+# each surrogate loss ell(z) and its derivative ell'(z)
+_SURROGATES = {
+    "squared_hinge": (lambda z: np.maximum(1.0 + z, 0.0) ** 2,
+                      lambda z: 2.0 * np.maximum(1.0 + z, 0.0)),
+    "logistic": (lambda z: np.logaddexp(0.0, z), lambda z: 0.5 * (1.0 + np.tanh(0.5 * z))),
+}
+
+
+class _ScoredRows:
+    """Margin-loss rows as one float64 array, and their scores `rows @ w` at
+    the last w asked for.  Oracles that hold the same instance (a pAUC
+    problem's, over its negatives) share the scores, so an exact evaluation
+    at one x computes the product once.  The cache is keyed by the dtype and
+    bytes of w, so a NaN payload, a signed zero or a w edited in place never
+    hits a stale entry.  The scores are read-only, since every oracle reads
+    them."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=float)
+        self._key = None
+        self._scores = None
+
+    def at(self, w):
+        key = (w.dtype.char, w.tobytes())
+        if key != self._key:
+            scores = self.rows @ w
+            scores.flags.writeable = False
+            self._key, self._scores = key, scores
+        return self._scores
+
+
+class MarginLossOracle(IndexBatchOracle):
+    """g(w, s) = (mean_j ell(<w, r_j> - <w, a>) - s) / lam over the rows r_j,
+    with an optional anchor a (none reads as zero); batches sample rows with
+    replacement.  GDRO's group risk is the logistic surrogate over the rows
+    -y_j a_j with no anchor, and pAUC's inner for positive a_i the surrogate
+    over the negatives with anchor a_i and lam = 1.
+
+    `rows` is an array, or a `_ScoredRows` that several oracles share
+    (`build_pauc` passes one to all of a problem's oracles), so that an
+    exact evaluation computes `rows @ w` once for all of them.  The
+    Jacobian's w-part is `slopes @ rows - sum(slopes) * anchor`, so no (rows
+    x d) difference matrix is ever built.  Means are `np.add.reduce(v) /
+    v.size`, which is what `np.mean` computes on float64, without its
+    dispatch overhead."""
+
+    def __init__(self, rows, surrogate, anchor=None, lam=1.0):
+        self._scored = rows if isinstance(rows, _ScoredRows) else _ScoredRows(rows)
+        self.rows = self._scored.rows
+        self.anchor = None if anchor is None else np.asarray(anchor, dtype=float)
+        if surrogate not in _SURROGATES:
+            raise InvalidParameterError(f"unknown surrogate {surrogate!r}")
+        self.val, self.deriv = _SURROGATES[surrogate]
+        self.lam = float(lam)
+        self.size = len(self.rows)
+
+    def _margins(self, w, scores):
+        return scores if self.anchor is None else scores - self.anchor @ w
+
+    def _value(self, x, scores):
+        v = self.val(self._margins(x[:-1], scores))
+        return (float(np.add.reduce(v) / v.size) - float(x[-1])) / self.lam
+
+    def exact_value(self, x):
+        return self._value(x, self._scored.at(x[:-1]))
+
+    def stochastic_value(self, x, batch):
+        # take gathers 2-D rows faster than fancy indexing
+        return self._value(x, self.rows.take(batch, axis=0) @ x[:-1])
+
+    def accumulate_jtvp(self, out, x, batch, y, scale):
+        # the w-part is the batch mean of ell'(<w, r_j - a>) (r_j - a), over lam
+        w = x[:-1]
+        rows_b = self.rows.take(batch, axis=0)
+        slopes = self.deriv(self._margins(w, rows_b @ w))
+        grad = slopes @ rows_b
+        if self.anchor is not None:
+            grad -= np.add.reduce(slopes) * self.anchor
+        coeff = scale * y / self.lam
+        out[:-1] += (coeff / len(batch)) * grad
+        out[-1] -= coeff
+
+
+# ---------------------------------------------------------------------------
 # logistic loss and group-robust training
 # ---------------------------------------------------------------------------
 
@@ -207,39 +295,6 @@ def _logistic_risk_grad(w, feats, labels):
     s = labels * (0.5 * np.tanh(0.5 * z) - 0.5)
     loss = float(np.add.reduce(np.logaddexp(0.0, -z))) / z.size
     return loss, (s @ feats) / z.size
-
-
-def _logistic_grad_w(w, feats, labels):
-    """Gradient only; skips the loss computation on the solver hot path."""
-    z = labels * (feats @ w)
-    s = labels * (0.5 * np.tanh(0.5 * z) - 0.5)
-    return (s @ feats) / z.size
-
-
-class GroupRiskOracle(IndexBatchOracle):
-    """g_i(w, c) = (R_i(w) - c) / lam over one group's samples, where R_i is
-    the group's mean logistic loss.  Exact evaluation is the full-group pass;
-    stochastic batches sample within the group with replacement."""
-
-    def __init__(self, feats, labels, lam):
-        self.feats = np.asarray(feats, dtype=float)
-        self.labels = np.asarray(labels, dtype=float)
-        self.lam = float(lam)
-        self.size = len(self.labels)
-
-    def exact_value(self, x):
-        return (_logistic_risk(x[:-1], self.feats, self.labels) - float(x[-1])) / self.lam
-
-    def stochastic_value(self, x, batch):
-        # take gathers 2-D rows faster than fancy indexing, which is faster on 1-D
-        risk = _logistic_risk(x[:-1], self.feats.take(batch, axis=0), self.labels[batch])
-        return (risk - float(x[-1])) / self.lam
-
-    def accumulate_jtvp(self, out, x, batch, y, scale):
-        grad_w = _logistic_grad_w(x[:-1], self.feats.take(batch, axis=0), self.labels[batch])
-        coeff = scale * y / self.lam
-        out[:-1] += coeff * grad_w
-        out[-1] -= coeff
 
 
 # share of groups averaged by the chi2 problem's worst_group_risk diagnostic
@@ -298,7 +353,9 @@ def build_gdro(data, divergence="cvar", alpha=None, lam=1.0, weight_decay=0.0,
     else:
         raise InvalidParameterError(f"unknown divergence {divergence!r}")
 
-    inners = [GroupRiskOracle(data.features[rows], data.labels[rows], lam)
+    # log(1 + exp(-y <w, a>)) is the logistic surrogate at the margin <w, -y a>
+    inners = [MarginLossOracle(-data.labels[rows, None] * data.features[rows], "logistic",
+                               lam=lam)
               for rows in data.group_index]
 
     lower = np.full(dim, -math.inf)
@@ -371,94 +428,14 @@ def solve_cvar_reference(data, alpha, weight_decay, iters=20000, step_scale=0.5)
 # ---------------------------------------------------------------------------
 
 
-def _surrogate(kind):
-    if kind == "squared_hinge":
-        def val(z):
-            return np.maximum(1.0 + z, 0.0) ** 2
-
-        def deriv(z):
-            return 2.0 * np.maximum(1.0 + z, 0.0)
-    elif kind == "logistic":
-        def val(z):
-            return np.logaddexp(0.0, z)
-
-        def deriv(z):
-            return 0.5 * (1.0 + np.tanh(0.5 * z))
-    else:
-        raise InvalidParameterError(f"unknown surrogate {kind!r}")
-    return val, deriv
-
-
-class _NegativeScores:
-    """The negatives of a pAUC problem as one float64 array, and their scores
-    `neg @ w` at the last w asked for.  Every inner oracle of a problem holds
-    the same instance, so an exact evaluation at one x computes the product
-    once, not once per positive.  The cache is keyed by the dtype and bytes
-    of w, so a NaN payload, a signed zero or a w edited in place never hits
-    a stale entry.  The scores are returned read-only, since every oracle
-    reads them."""
-
-    def __init__(self, negatives):
-        self.neg = np.asarray(negatives, dtype=float)
-        self._key = None
-        self._scores = None
-
-    def at(self, w):
-        key = (w.dtype.char, w.tobytes())
-        if key != self._key:
-            scores = self.neg @ w
-            scores.flags.writeable = False
-            self._key, self._scores = key, scores
-        return self._scores
-
-
-class PaucInnerOracle(IndexBatchOracle):
-    """g_i(w, s) = mean_j ell(<w, a_j - a_i>) - s over negatives a_j for one
-    positive a_i; batches sample negatives with replacement.
-
-    Scores are computed as `neg @ w - pos.w` and the Jacobian's w-part as
-    `slopes @ neg - sum(slopes) * pos`, so no (negatives x d) difference
-    matrix is ever built.  Means are `np.add.reduce(v) / v.size`, which is
-    what `np.mean` computes on float64, without its dispatch overhead.
-    `scores` is a `_NegativeScores` over `negatives` that several oracles
-    share (`build_pauc` passes one to all of a problem's oracles); without
-    it the oracle holds its own."""
-
-    def __init__(self, pos_row, negatives, surrogate, scores=None):
-        self.pos = np.asarray(pos_row, dtype=float)
-        self._neg_scores = _NegativeScores(negatives) if scores is None else scores
-        self.neg = self._neg_scores.neg
-        self.val, self.deriv = _surrogate(surrogate)
-        self.size = len(self.neg)
-
-    def exact_value(self, x):
-        w, s = x[:-1], float(x[-1])
-        v = self.val(self._neg_scores.at(w) - self.pos @ w)
-        return float(np.add.reduce(v) / v.size) - s
-
-    def stochastic_value(self, x, batch):
-        w, s = x[:-1], float(x[-1])
-        v = self.val(self.neg.take(batch, axis=0) @ w - self.pos @ w)
-        return float(np.add.reduce(v) / v.size) - s
-
-    def accumulate_jtvp(self, out, x, batch, y, scale):
-        # the w-part is the batch mean of ell'(<w, a_j - a_i>) (a_j - a_i)
-        w = x[:-1]
-        neg_b = self.neg.take(batch, axis=0)
-        slopes = self.deriv(neg_b @ w - self.pos @ w)
-        coeff = scale * y
-        out[:-1] += (coeff / len(batch)) * (slopes @ neg_b - np.add.reduce(slopes) * self.pos)
-        out[-1] -= coeff
-
-
 def build_pauc(data, surrogate="squared_hinge", weight_decay=0.0):
     """Ranking problem over x = (w, s): one component per positive sample
     with outer hinge scaled by 1/(1-alpha), plus the '+s' linear term.  The
     oracles share one copy of the negatives and one cache of their scores,
     so an exact evaluation computes `neg @ w` once."""
     dim = data.positives.shape[1] + 1
-    scores = _NegativeScores(data.negatives)
-    inners = [PaucInnerOracle(pos, scores.neg, surrogate, scores) for pos in data.positives]
+    negatives = _ScoredRows(data.negatives)
+    inners = [MarginLossOracle(negatives, surrogate, anchor=pos) for pos in data.positives]
     return ProblemInstance(outer=ScaledPositivePart(1.0 - data.alpha), inners=inners,
                            regularizer=_dual_form_regularizer(dim, weight_decay),
                            domain=BoxDomain.unbounded(dim))
@@ -468,16 +445,22 @@ def build_cvar_scalar(risks, alpha):
     """Tiny diagnostic problem: minimize (1/(alpha*n)) sum_i (r_i - c)_+ + c
     over the scalar c, with fixed component levels r_i.  Used to study the
     dual-table radius and sparsity at the optimum, the minimizer x_star =
-    [c_star]."""
+    [c_star], with the optimal value f_star."""
     risks = np.asarray(risks, dtype=float)
     n = len(risks)
-    # exact minimizer over c: derivative 1 - #{r_i > c}/(alpha*n) crosses zero
-    # where exactly alpha*n levels exceed c
+    # the derivative 1 - #{r_i > c}/(alpha*n) crosses zero where exactly
+    # alpha*n levels exceed c, which takes the midpoint of two levels when
+    # alpha*n is an integer (up to rounding: 0.3*10 is 3.0000000000000004),
+    # and the ceil(alpha*n)-th largest level otherwise
     order = np.sort(risks)
-    k = int(round(alpha * n))
-    c_star = 0.5 * (order[n - k - 1] + order[n - k]) if 0 < k < n else float(order[0])
+    k = round(alpha * n)
+    if not math.isclose(alpha * n, k, rel_tol=1e-9):
+        c_star = float(order[n - math.ceil(alpha * n)])
+    else:
+        c_star = 0.5 * (order[n - k - 1] + order[n - k]) if 0 < k < n else float(order[0])
     lo, hi = float(risks.min()) - 1.0, float(risks.max()) + 1.0
     return ProblemInstance(outer=ScaledPositivePart(alpha),
                            inners=[AffineScalarOracle(a=[-1.0], b=float(r)) for r in risks],
                            regularizer=Regularizer(l2_coeff=0.0, linear=np.array([1.0])),
-                           domain=BoxDomain(lo, hi, 1), x_star=np.array([c_star]))
+                           domain=BoxDomain(lo, hi, 1), x_star=np.array([c_star]),
+                           f_star=float(np.maximum(risks - c_star, 0.0).mean()) / alpha + c_star)

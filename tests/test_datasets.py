@@ -349,6 +349,9 @@ def test_grouped_dataset_derives_its_groups_from_group_of():
     data = GroupedDataset(features=np.zeros((5, 1)), labels=np.ones(5), group_of=[1, 0, 1, 2, 0])
     assert data.n_groups == 3
     assert [rows.tolist() for rows in data.group_index] == [[1, 4], [0, 2], [3]]
+    # floats with integer values are ids
+    data = GroupedDataset(features=np.zeros((3, 1)), labels=np.ones(3), group_of=[0.0, 2.0, 1.0])
+    assert data.group_of.tolist() == [0, 2, 1] and data.n_groups == 3
 
 
 @pytest.mark.parametrize("group_of, message", [
@@ -356,6 +359,9 @@ def test_grouped_dataset_derives_its_groups_from_group_of():
     # a -1 id used to be left out of the oracles but kept in sgd_uw's view
     ([0, -1, 1], "^group_of holds the negative group id -1$"),
     ([0, 2, 2], "^grouped dataset contains an empty group: no row has group id 1$"),
+    # a cast to int used to turn these ids into the groups [0, 1, 1]
+    ([0.7, 1.2, 1.9], "^group_of holds the non-integer group id 0.7 at row 0$"),
+    ([0.0, np.nan, 1.0], "^group_of holds the non-integer group id nan at row 1$"),
 ])
 def test_grouped_dataset_refuses_ids_that_are_not_a_partition(group_of, message):
     n = len(group_of)
