@@ -557,8 +557,8 @@ def iterations_to_reach(records, epsilon):
 def sweep_rate(config, out_dir):
     """For each target accuracy, re-derive the preset step sizes, run all
     seeds, measure iterations-to-target on the seed-mean gap curve, and fit
-    the log-log slope over the converged targets.  The config holds one
-    solver entry without a grid."""
+    the log-log slope over the targets first met at t >= 1.  The config
+    holds one solver entry without a grid."""
     if not config.epsilons:
         raise ConfigValidationError("epsilons", "sweep-rate needs an epsilon list")
     if len(config.solvers) > 1:
@@ -581,10 +581,11 @@ def sweep_rate(config, out_dir):
         hit = iterations_to_reach(records, eps)
         entries.append({"epsilon": eps, "iterations": hit, "converged": hit is not None})
 
-    converged = [(e["epsilon"], e["iterations"]) for e in entries if e["converged"]]
+    # a miss (None) and a target met at t = 0 carry no rate: fit the others
+    fitted = [(e["epsilon"], e["iterations"]) for e in entries if e["iterations"]]
     report = {"entries": entries, "fit": None, "error": None}
     try:
-        fit = fit_rate(converged)
+        fit = fit_rate(fitted)
         report["fit"] = {"slope": fit.slope, "intercept": fit.intercept,
                          "r_squared": fit.r_squared, "points": fit.points}
     except FccoError as exc:

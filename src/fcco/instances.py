@@ -111,12 +111,11 @@ class AffineScalarOracle(InnerOracle):
 class CoordinateNoiseKernel:
     """Vectorized sampled-block backend that `ProblemInstance` derives when
     its inners are the n coordinate oracles 0..n-1 with one shared noise.  A
-    block-solver step calls `draw` once for all sampled blocks (one noise
-    draw of shape (S, 2, B), the same stream as the per-block path's
-    value-then-Jacobian batches), `value_noise` once,
-    `values` once at x_t and once more at x_{t-1} when the rule extrapolates
-    or corrects, and `accumulate_grad` once; the solver's block rule then
-    runs elementwise on the problem's outer.  Every block solver (alexr, sox,
+    block-solver step calls `draw` once for all sampled blocks (one (S, 2, B)
+    noise draw, through `ProblemInstance.draw`), `value_noise` once, `values`
+    once at x_t and once more at x_{t-1} when the rule extrapolates or
+    corrects, and `accumulate_grad` once; the solver's block rule then runs
+    elementwise on the problem's outer.  Every block solver (alexr, sox,
     msvr, bsgd) reproduces its per-block results bitwise on this path."""
 
     def __init__(self, noise):

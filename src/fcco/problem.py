@@ -132,7 +132,7 @@ class IndexBatchOracle(InnerOracle):
     """An inner oracle over a finite population of `size` samples whose batch
     handles are sample indices drawn uniformly with replacement.  A problem
     whose inners are all of this kind draws every batch of a solver step in
-    one call (see `ProblemInstance`)."""
+    one call (see `ProblemInstance.draw`)."""
 
     def sample_batch(self, rng, size):
         return rng.integers(0, self.size, size=size)
@@ -180,12 +180,6 @@ class ProblemInstance:
     `supports_exact` says whether every inner has exact evaluation, which
     `evaluate_objective` needs.
 
-    When every inner is an `IndexBatchOracle` (as in the GDRO and pAUC
-    builders; a custom oracle over a finite sample set may subclass it and
-    set `size`), `population_sizes` holds each component's population size,
-    and a block-solver step draws all its index batches in one call (see
-    the `solvers` module docstring); otherwise it is None.
-
     When each inner i is exactly an `instances.CoordinateNoiseOracle` with
     index i, all sharing one noise object (as in the hard-instance
     builders), `kernel` is their vectorized backend
@@ -226,9 +220,9 @@ class ProblemInstance:
             raise InvalidParameterError(
                 f"component {nonlinear}: nonlinear inner requires a nonnegative dual domain")
         self.supports_exact = all(g.supports_exact for g in self.inners)
-        self.population_sizes = None
+        self._sizes = None
         if all(isinstance(g, IndexBatchOracle) for g in self.inners):
-            self.population_sizes = np.array([g.size for g in self.inners], dtype=np.int64)
+            self._sizes = np.array([g.size for g in self.inners], dtype=np.int64)
         from .instances import CoordinateNoiseKernel, CoordinateNoiseOracle  # imports this module
 
         noise = getattr(self.inners[0], "noise", None)
@@ -239,6 +233,26 @@ class ProblemInstance:
 
     def initial_point(self):
         return self.domain.project(np.zeros(self.dim))
+
+    def draw(self, rng, S, B):
+        """All the randomness of one block-solver step, as `(idx, batches)`:
+        the randomness-ordering contract the equivalence tests rely on.
+
+        A step consumes the outer batch `idx` (`sample_outer_batch`: S
+        sorted distinct components), then, for each sampled block in
+        ascending order, its value batch and then its Jacobian batch, of
+        size B each: `batches[k]` is block `idx[k]`'s pair.  With a `kernel`
+        they are one (S, 2, B) noise draw; when every inner is an
+        `IndexBatchOracle`, one `rng.integers` call with the blocks' sizes as
+        an (S, 1, 1) bound; otherwise two `sample_batch` calls per block.
+        The first two give the numbers and generator state of the third."""
+        idx = sample_outer_batch(rng, self.n, S)
+        if self.kernel is not None:
+            return idx, self.kernel.draw(rng, S, B)
+        if self._sizes is not None:
+            return idx, rng.integers(0, self._sizes[idx][:, None, None], size=(S, 2, B))
+        inners = [self.inners[i] for i in idx]
+        return idx, [(g.sample_batch(rng, B), g.sample_batch(rng, B)) for g in inners]
 
 
 def evaluate_objective(problem, x):

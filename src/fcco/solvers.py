@@ -36,17 +36,8 @@ y) on the problem's one outer f: the dual prox or u-tracking with
 extrapolation, the moving average, the msvr-corrected moving average, or the
 plug-in subgradient.
 
-Randomness ordering contract (relied on by the equivalence tests): each
-iteration consumes, in order, the outer-batch draw, then for each sampled
-block in ascending index order the value batch followed by the Jacobian
-batch.  Only `sample_batch` draws inside a step, so the draws may be taken
-together as long as the stream is the same.  The vectorized kernel path
-draws it in one call, and every block solver takes that path when the
-problem has a kernel.  On the per-block path, index-sampled oracles
-(`problem.IndexBatchOracle`) also draw in one call: with the blocks'
-population sizes as an (S, 1, 1) bound, `rng.integers` returns an (S, 2, B)
-array holding the same integers, and leaves the generator in the same
-state, as the 2S per-block `sample_batch` calls.
+A block step takes its randomness from one `ProblemInstance.draw` call,
+whose docstring states the randomness-ordering contract.
 """
 
 from __future__ import annotations
@@ -64,7 +55,7 @@ from .errors import (
     InvalidParameterError,
     NotSmoothError,
 )
-from .problem import evaluate_objective, primal_prox_step, sample_outer_batch
+from .problem import evaluate_objective, primal_prox_step
 
 PSI_QUADRATIC = "quadratic"
 PSI_CONJUGATE = "conjugate"
@@ -147,12 +138,16 @@ class BaselineConfig:
             self.label = self.variant
 
 
+def _check_positive(name, value):
+    if not (value > 0 and math.isfinite(value)):
+        raise InvalidParameterError(f"{name} must be positive and finite, got {value}")
+
+
 def check_preset_epsilon(epsilon, theta_margin=None):
     """Raise InvalidParameterError naming epsilon unless a preset can take it
     as its target: positive and finite, and, given the strongly convex
     preset's theta_margin, with theta = 1 - theta_margin*epsilon in (0, 1)."""
-    if not (epsilon > 0 and math.isfinite(epsilon)):
-        raise InvalidParameterError(f"epsilon must be positive and finite, got {epsilon}")
+    _check_positive("epsilon", epsilon)
     if theta_margin is not None and not 0.0 < 1.0 - theta_margin * epsilon < 1.0:
         raise InvalidParameterError(f"epsilon={epsilon} with theta_margin={theta_margin} "
                                     "leaves theta = 1 - theta_margin*epsilon outside (0, 1)")
@@ -160,10 +155,11 @@ def check_preset_epsilon(epsilon, theta_margin=None):
 
 def strongly_convex_preset(mu, n, S, B, T, epsilon, seed=0, theta=None,
                            theta_margin=0.5, psi_mode=PSI_QUADRATIC, label="alexr"):
-    """Step-size preset for mu-strongly-convex problems:
+    """Step-size preset for mu-strongly-convex problems (mu > 0, finite):
     eta = mu*theta/(1-theta), tau = S/(n*(1-theta)), theta -> 1 as the
     target accuracy epsilon -> 0 (theta = 1 - theta_margin*epsilon unless
     given explicitly).  Reports the last iterate."""
+    _check_positive("mu", mu)
     if theta is None:
         check_preset_epsilon(epsilon, theta_margin)
         theta = 1.0 - theta_margin * epsilon
@@ -181,6 +177,8 @@ def convex_preset(S, B, T, epsilon, seed=0, theta=0.0, eta_coeff=1.0,
     tau = tau_coeff/(B*epsilon).  theta=0 suits non-smooth inner noise,
     theta=1 exploits smooth inner maps.  Reports the uniform average."""
     check_preset_epsilon(epsilon)
+    _check_positive("eta_coeff", eta_coeff)
+    _check_positive("tau_coeff", tau_coeff)
     if B < 1:
         raise InvalidParameterError(f"B must be >= 1, got {B}")
     eta = eta_coeff / epsilon
@@ -239,44 +237,32 @@ def dual_update_conjugate(f, u_block, g_tilde, tau):
 def _block_step(state, problem, S, B, eta, rule, needs_prev):
     """One iteration of a block-sampling solver; mutates and returns `state`.
 
-    Samples the outer batch, draws each sampled block's value and Jacobian
-    batches, and estimates g_now = g(x_t; B) (and g_prev = g(x_{t-1}; B) on
-    the same batch when `needs_prev`).  `rule(table_slice, g_now, g_prev)`
-    returns the new table entries and the dual weights y; `state.table`
-    (None when the solver keeps none) is updated in place at the sampled
-    blocks.  The Jacobian-transpose products at the second batch with
-    weights y are averaged into G, and the primal takes a prox step with
-    coefficient eta.
-    With a `kernel` the sampled blocks are handled as vectors, otherwise one
-    by one in ascending index order; both consume the same random stream.
-    On the per-block path, a problem with `population_sizes` draws all the
-    step's index batches in one call before the first block.
+    One `problem.draw` call gives the outer batch and each sampled block's
+    value and Jacobian batches.  g_now = g(x_t; B) (and g_prev =
+    g(x_{t-1}; B) on the same batch when `needs_prev`) go to
+    `rule(table_slice, g_now, g_prev)`, which returns the new table entries
+    and the dual weights y; `state.table` (None when the solver keeps none)
+    is updated in place at the sampled blocks.  The Jacobian-transpose
+    products at the second batch with weights y are averaged into G, and the
+    primal takes a prox step with coefficient eta.  With a `kernel` the
+    sampled blocks are handled as vectors, otherwise one by one in ascending
+    index order.
     """
-    rng, table = state.rng, state.table
-    idx = sample_outer_batch(rng, problem.n, S)
+    table = state.table
+    idx, batches = problem.draw(state.rng, S, B)
     G = np.zeros(problem.dim)
     kern = problem.kernel
     if kern is not None:
-        z = kern.draw(rng, len(idx), B)  # (S, 2, B): value batches, then Jacobian batches
-        noise = kern.value_noise(z)
+        noise = kern.value_noise(batches)
         g_now = kern.values(state.x, idx, noise)
         g_prev = kern.values(state.x_prev, idx, noise) if needs_prev else None
         new, y = rule(None if table is None else table[idx], g_now, g_prev)
         if table is not None:
             table[idx] = new
-        kern.accumulate_grad(G, state.x, idx, z[:, 1, :], y, 1.0 / S)
+        kern.accumulate_grad(G, state.x, idx, batches[:, 1, :], y, 1.0 / S)
     else:
-        sizes = problem.population_sizes
-        if sizes is not None:
-            # the same integers and generator state as the per-block draws below
-            batches = rng.integers(0, sizes[idx][:, None, None], size=(S, 2, B))
-        for k, i in enumerate(idx):
+        for i, (b_val, b_jac) in zip(idx, batches):
             orc = problem.inners[i]
-            if sizes is None:
-                b_val = orc.sample_batch(rng, B)
-                b_jac = orc.sample_batch(rng, B)
-            else:
-                b_val, b_jac = batches[k, 0], batches[k, 1]
             g_now = orc.stochastic_value(state.x, b_val)
             g_prev = orc.stochastic_value(state.x_prev, b_val) if needs_prev else None
             new, y = rule(None if table is None else table[i], g_now, g_prev)

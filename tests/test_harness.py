@@ -28,7 +28,14 @@ from fcco.harness import (
 )
 from fcco.instances import build_hard_smooth
 from fcco.metrics import fit_rate
-from fcco.solvers import AlexrConfig, RunRecord, RunRow, run
+from fcco.solvers import (
+    AlexrConfig,
+    RunRecord,
+    RunRow,
+    convex_preset,
+    run,
+    strongly_convex_preset,
+)
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -577,6 +584,45 @@ def test_strongly_convex_preset_names_epsilon(epsilon):
     make_solver("alexr", dict(params, theta=0.5), 1, build_hard_smooth(6, 0.3, 1.0))
 
 
+@pytest.mark.parametrize("mu", [0.0, -0.5, math.nan, math.inf])
+def test_strongly_convex_preset_names_mu(mu):
+    # eta = mu*theta/(1-theta): a mu of 0 or NaN used to reach AlexrConfig,
+    # whose message named eta and tau, neither of which the config sets
+    with pytest.raises(InvalidParameterError, match="^mu must be positive and finite"):
+        strongly_convex_preset(mu=mu, n=10, S=2, B=1, T=5, epsilon=1e-3)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("coeff", ["eta_coeff", "tau_coeff"])
+def test_convex_preset_names_its_coefficients(tmp_path, capsys, coeff, value):
+    with pytest.raises(InvalidParameterError, match=f"^{coeff} must be positive and finite"):
+        convex_preset(S=2, B=1, T=5, epsilon=1e-2, **{coeff: value})
+    # validate builds the convex preset's cells, so both commands stop there
+    params = {"preset": "convex", coeff: value, "S": 2, "B": 1, "T": 5}
+    path = write_config(tmp_path, dict(BASE_CONFIG, solvers=[{"name": "alexr", "params": params}]))
+    for command in ("validate", "run"):
+        assert cli_main(["--out", str(tmp_path / "out"), command, path]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: solvers[0]: cell 'alexr': {coeff} must be positive and finite")
+
+
+def test_cli_strongly_convex_preset_on_a_problem_without_strong_convexity(tmp_path, capsys):
+    # GDRO's threshold coordinate carries no weight decay, so the problem's
+    # mu is 0 whatever weight_decay is; the preset needs the built problem,
+    # so validate passes and run fails, naming mu
+    config = {"problem": {"builder": "gdro_synthetic",
+                          "params": {"n_groups": 4, "samples_per_group": 20, "d": 3,
+                                     "weight_decay": 0.01}},
+              "solvers": [{"name": "alexr", "params": {"preset": "strongly_convex", "S": 2,
+                                                       "B": 2, "T": 5}}],
+              "seeds": [1], "eval_every": 5}
+    path = write_config(tmp_path, config)
+    assert cli_main(["--out", str(tmp_path / "out"), "validate", path]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    assert cli_main(["--out", str(tmp_path / "out"), "run", path]) == 2
+    assert capsys.readouterr().err == "error: mu must be positive and finite, got 0.0\n"
+
+
 def _baseline(c, name):
     c["solvers"][1] = {"name": name, "params": {"step": 0.5, "S": 2, "T": 40}}
     return c["solvers"][1]
@@ -699,6 +745,24 @@ def test_sweep_rate_budget_exhausted_flags_and_errors(tmp_path):
     assert all(not e["converged"] for e in report["entries"])
     assert report["fit"] is None
     assert "3 points" in report["error"]
+
+
+def test_sweep_rate_fits_around_a_target_met_at_t0(tmp_path):
+    # hard_smooth's initial gap is (mu/2)*||x*||^2 = 0.01, so 0.05 is met at
+    # t = 0; that entry used to reach fit_rate, which refuses an iteration
+    # count of 0, and the report lost the fit of the three other targets
+    config = validate_config({
+        "problem": {"builder": "hard_smooth", "params": {"n": 20}},
+        "solvers": [{"name": "alexr", "params": {"preset": "strongly_convex", "S": 5}}],
+        "seeds": [1, 2], "eval_every": 50, "epsilons": [0.05, 0.004, 0.002, 0.001],
+        "budget": 3000,
+    })
+    report = sweep_rate(config, tmp_path)
+    first, *rest = report["entries"]
+    assert first == {"epsilon": 0.05, "iterations": 0, "converged": True}
+    assert all(e["converged"] and e["iterations"] > 0 for e in rest)
+    assert report["error"] is None
+    assert report["fit"] == expected_fit({"entries": rest})
 
 
 def test_iterations_to_reach_uses_seed_mean():

@@ -308,8 +308,8 @@ def test_instance_refuses_a_part_whose_length_is_not_dim(field, parts):
 
 
 def test_problem_types_init_fields_are_pinned():
-    # `n`, `dim`, `mu`, `kernel` and `population_sizes` are derived from the
-    # parts, so none of them is an input; the known optimum is
+    # `n`, `dim`, `mu` and `kernel` are derived from the parts, so none of
+    # them is an input; the known optimum is
     assert [f.name for f in dataclasses.fields(ProblemInstance) if f.init] == [
         "outer", "inners", "regularizer", "domain", "flat_view", "aux_metrics", "f_star",
         "x_star"]

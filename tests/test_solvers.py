@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -22,6 +23,8 @@ from fcco.instances import (
     AffineScalarOracle,
     CoordinateNoiseOracle,
     GaussianNoise,
+    MarginLossOracle,
+    TwoPointNoise,
     build_gdro,
     build_hard_nonsmooth,
     build_hard_smooth,
@@ -223,14 +226,64 @@ def test_baseline_oracle_accounting(variant):
     assert rec.rows[-1].oracle_count == 2 * 4 * 3 * 5
 
 
+def reference_draw(problem, rng, S, B):
+    """The randomness-ordering contract written out: the outer batch, then
+    each sampled block's value batch and Jacobian batch, in ascending block
+    order, through its oracle's `sample_batch`."""
+    idx = sample_outer_batch(rng, problem.n, S)
+    return idx, [(problem.inners[i].sample_batch(rng, B), problem.inners[i].sample_batch(rng, B))
+                 for i in idx]
+
+
 def per_block(problem):
     """A copy of `problem` that takes the per-block path and draws each
-    block's batches through its oracle's `sample_batch`, as a problem with
-    neither a kernel nor population sizes does."""
+    block's batches through its oracle's `sample_batch` (`reference_draw`),
+    as a problem with neither a kernel nor index-sampled inners does."""
     out = copy.copy(problem)
     out.kernel = None
-    out.population_sizes = None
+    out.draw = functools.partial(reference_draw, problem)
     return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(["coordinate", "index", "mixed"]), data=st.data(),
+       B=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_draw_follows_the_contract_on_mixed_oracles(family, data, B, seed):
+    # whichever source ProblemInstance.draw takes (the kernel, one
+    # rng.integers call, or oracle by oracle), it must return the outer
+    # batch and the batches of sample_outer_batch followed by 2S
+    # sample_batch calls, and leave the generator where they leave it
+    kinds = ["coordinate", "index", "affine", "affine_noiseless"]
+    kind = st.sampled_from(kinds) if family == "mixed" else st.just(family)
+    kinds = data.draw(st.lists(kind, min_size=1, max_size=8), label="kinds")
+    n, dim = len(kinds), len(kinds) + 1
+    parts = np.random.default_rng(seed)
+    noise = GaussianNoise(0.7)
+    inners = []
+    for i, kind in enumerate(kinds):
+        if kind == "coordinate":
+            inners.append(CoordinateNoiseOracle(i, noise))
+        elif kind == "index":
+            size = data.draw(st.integers(1, 12), label=f"size of inner {i}")
+            inners.append(MarginLossOracle(parts.standard_normal((size, dim - 1)), "logistic"))
+        else:
+            inners.append(AffineScalarOracle(parts.standard_normal(dim), noise=(
+                TwoPointNoise(0.3, 1.0) if kind == "affine" else None)))
+    problem = ProblemInstance(outer=PositivePart(), inners=inners, regularizer=Regularizer(),
+                              domain=BoxDomain.unbounded(dim))
+    assert (problem.kernel is not None) == (set(kinds) == {"coordinate"})
+    S = data.draw(st.integers(1, n), label="S")
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        idx, batches = problem.draw(rng, S, B)
+        ref_idx, ref_batches = reference_draw(problem, ref_rng, S, B)
+        assert np.array_equal(idx, ref_idx)
+        assert len(batches) == S
+        for got, want in zip(batches, ref_batches):
+            for j in (0, 1):
+                assert got[j].dtype == want[j].dtype
+                assert np.array_equal(got[j], want[j])
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def gaussian_coordinate_problem(n, sigma=0.7):
@@ -302,10 +355,19 @@ def _unequal_gdro_csv():
     return load_grouped_csv("\n".join(lines) + "\n", group_column="group")
 
 
+def _pauc_with_an_affine_inner():
+    # three index-sampled pAUC inners and one affine oracle with Gaussian
+    # noise: not every inner is index-sampled, so each block draws its own
+    problem = build_pauc(build_synthetic_pauc(4, 9, 2, 1.0, 0.5, np.random.default_rng(0)))
+    return dataclasses.replace(problem, inners=problem.inners[:3]
+                               + affine_problem(1, 3, PositivePart()).inners)
+
+
 @pytest.mark.parametrize("B", [1, 3, 8])
-@pytest.mark.parametrize("family", ["pauc", "gdro_synthetic", "gdro_csv_unequal"])
+@pytest.mark.parametrize("family", ["pauc", "gdro_synthetic", "gdro_csv_unequal", "pauc_mixed"])
 def test_one_draw_per_step_equals_per_oracle_draws(family, B):
-    # index-sampled oracles draw a step's (S, 2, B) batches in one call; the
+    # ProblemInstance.draw takes a step's (S, 2, B) batches in one call when
+    # every inner is index-sampled, and oracle by oracle otherwise; the
     # result, the oracle count and the generator state must be those of the
     # 2S per-block sample_batch calls, bit for bit
     if family == "pauc":
@@ -313,10 +375,11 @@ def test_one_draw_per_step_equals_per_oracle_draws(family, B):
     elif family == "gdro_synthetic":
         problem = build_gdro(build_synthetic_gdro(6, 3, 25, 0.5, np.random.default_rng(4)),
                              divergence="cvar", alpha=0.5)
-    else:
+    elif family == "gdro_csv_unequal":
         problem = build_gdro(_unequal_gdro_csv(), divergence="cvar", alpha=0.5)
-        assert problem.population_sizes.tolist() == [3, 11, 40, 7]
-    assert problem.population_sizes is not None
+        assert [g.size for g in problem.inners] == [3, 11, 40, 7]
+    else:
+        problem = _pauc_with_an_affine_inner()
     each = per_block(problem)
     S, T = 3, 25
     cases = [(AlexrConfig(eta=10.0, tau=1.0, theta=theta, S=S, B=B, T=T, seed=5), alexr_step)
@@ -338,15 +401,6 @@ def test_one_draw_per_step_equals_per_oracle_draws(family, B):
             assert np.array_equal(s_one.table, s_each.table), cfg
         assert s_one.oracle_count == s_each.oracle_count == T * 2 * S * B
         assert s_one.rng.bit_generator.state == s_each.rng.bit_generator.state, cfg
-
-
-def test_population_sizes_need_every_inner_index_sampled():
-    assert affine_problem(3, 2, PositivePart()).population_sizes is None
-    problem = build_pauc(build_synthetic_pauc(4, 9, 2, 1.0, 0.5, np.random.default_rng(0)))
-    assert problem.population_sizes.tolist() == [9] * 4
-    mixed = dataclasses.replace(problem, inners=problem.inners[:3]
-                                + affine_problem(1, 3, PositivePart()).inners)
-    assert mixed.population_sizes is None
 
 
 def test_conjugate_mode_requires_smooth_outers():
