@@ -356,6 +356,8 @@ def build_synthetic_gdro(n_groups, d, samples_per_group, heterogeneity, rng):
 def build_synthetic_pauc(n_pos, n_neg, d, separation, alpha, rng):
     """Gaussian positives shifted from negatives by `separation` along a
     random direction."""
+    if n_pos < 1 or n_neg < 1 or d < 1:
+        raise InvalidParameterError("n_pos, n_neg, d must be positive")
     direction = rng.standard_normal(d)
     direction /= np.linalg.norm(direction)
     pos = separation * direction + rng.standard_normal((n_pos, d))

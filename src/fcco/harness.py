@@ -180,9 +180,17 @@ def validate_config(raw):
             _fail("epsilons", "need a strictly decreasing list of positive finite targets")
     if config.budget is not None and (not _is_kind(config.budget, int) or config.budget < 0):
         _fail("budget", "must be a nonnegative integer")
+
+    def build_cell(i, label, name, params, built):
+        # the cell's config runs its own range checks
+        try:
+            make_solver(name, params, seeds[0], built, label=label)
+        except InvalidParameterError as exc:
+            _fail(f"solvers[{i}]", f"cell {label!r}: {exc}")
+
     # two cells writing the same record file, or two entries with the same
     # best_cell key, would overwrite each other
-    owner, key_owner = {}, {}
+    owner, key_owner, preset_cells = {}, {}, []
     for i, solver in enumerate(solvers):
         for label, name, params in expand_solver_grid(solver):
             fname = _cell_filename(label, seeds[0], config.emit)
@@ -191,13 +199,10 @@ def validate_config(raw):
                                        f" of solvers[{owner[fname]}]; give them distinct labels")
             owner[fname] = i
             _check_targets(f"solvers[{i}]", solver, params, epsilons)
-            # build the cell so its config's own range checks fail here; a
-            # strongly convex preset needs the built problem's n and mu
-            if not (name == "alexr" and params.get("preset") == "strongly_convex"):
-                try:
-                    make_solver(name, params, seeds[0], None, label=label)
-                except InvalidParameterError as exc:
-                    _fail(f"solvers[{i}]", f"cell {label!r}: {exc}")
+            if name == "alexr" and params.get("preset") == "strongly_convex":
+                preset_cells.append((i, label, name, params))
+            else:
+                build_cell(i, label, name, params, None)
         key = solver.get("label", solver["name"])
         if key in key_owner:
             _fail(f"solvers[{i}]", f"best_cell key {key!r} is also that of solvers[{key_owner[key]}]"
@@ -210,6 +215,15 @@ def validate_config(raw):
         for key, value in mapping.items():
             if any(v != v for v in (value if isinstance(value, list) else [value])):
                 _fail(f"{prefix}{key}", "expected a number, got nan")
+    # a strongly convex preset reads the built problem's n and mu, so only
+    # configs with such a cell build their problem (and read its data) here
+    if preset_cells:
+        try:
+            built = _build(problem)
+        except InvalidParameterError as exc:
+            _fail("problem.params", str(exc))
+        for cell in preset_cells:
+            build_cell(*cell, built)
     return config
 
 

@@ -38,6 +38,8 @@ class TwoPointNoise:
     p = nu^2/sigma^2.  Variance is sigma^2*(1-p)."""
 
     def __init__(self, nu, sigma):
+        if not (sigma > 0 and math.isfinite(sigma)):
+            raise InvalidParameterError(f"sigma must be positive and finite, got {sigma}")
         p = nu ** 2 / sigma ** 2
         if not 0.0 < p < 1.0:
             raise InvalidParameterError(f"p = nu^2/sigma^2 = {p} must lie in (0, 1)")
@@ -147,6 +149,8 @@ def build_hard_smooth(n, nu, sigma):
     minimizer is -2*nu/3 per coordinate with objective value -nu^2/3."""
     if not 0.0 < nu < 1.0:
         raise InvalidParameterError(f"nu must lie in (0, 1), got {nu}")
+    if n < 1:
+        raise InvalidParameterError(f"n must be at least 1, got {n}")
     noise = TwoPointNoise(nu, sigma)
     return ProblemInstance(outer=HuberHard(nu),
                            inners=[CoordinateNoiseOracle(i, noise) for i in range(n)],
@@ -163,6 +167,8 @@ def build_hard_nonsmooth(n, nu, beta, alpha_reg, sigma):
         raise InvalidParameterError(f"nu must lie in (0, 1), got {nu}")
     if alpha_reg < 0:
         raise InvalidParameterError("alpha_reg must be nonnegative")
+    if n < 1:
+        raise InvalidParameterError(f"n must be at least 1, got {n}")
     noise = TwoPointNoise(nu, sigma)
     coord = -beta / alpha_reg if alpha_reg > beta / nu else -nu
     return ProblemInstance(outer=HingeHard(beta, nu),
@@ -341,16 +347,18 @@ def build_gdro(data, divergence="cvar", alpha=None, lam=1.0, weight_decay=0.0,
     if divergence == "cvar":
         if alpha is None or not 0.0 < alpha <= 1.0:
             raise InvalidParameterError(f"cvar needs alpha in (0, 1], got {alpha}")
-        outer = ScaledPositivePart(alpha / lam)
-        lo, hi = 0.0, risk_bound
-        worst_share = alpha
+        lo = 0.0
     elif divergence == "chi2":
-        lo, hi = -lam, risk_bound
-        worst_share = CHI2_WORST_SHARE
-        cap = (risk_bound - lo) / 2.0 + lam
-        outer = ChiSquareOuter(lam, cap)
+        lo = -lam
     else:
         raise InvalidParameterError(f"unknown divergence {divergence!r}")
+    if not risk_bound >= lo:
+        raise InvalidParameterError(f"risk_bound must be at least c's lower end {lo}, "
+                                    f"got {risk_bound}")
+    if divergence == "cvar":
+        outer, worst_share = ScaledPositivePart(alpha / lam), alpha
+    else:
+        outer, worst_share = ChiSquareOuter(lam, (risk_bound - lo) / 2.0 + lam), CHI2_WORST_SHARE
 
     # log(1 + exp(-y <w, a>)) is the logistic surrogate at the margin <w, -y a>
     inners = [MarginLossOracle(-data.labels[rows, None] * data.features[rows], "logistic",
@@ -359,7 +367,7 @@ def build_gdro(data, divergence="cvar", alpha=None, lam=1.0, weight_decay=0.0,
 
     lower = np.full(dim, -math.inf)
     upper = np.full(dim, math.inf)
-    lower[-1], upper[-1] = lo, hi
+    lower[-1], upper[-1] = lo, risk_bound
     domain = BoxDomain(lower, upper, dim)
     view = GdroFlatView(data.features, data.labels, data.group_of)
 

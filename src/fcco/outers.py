@@ -18,11 +18,11 @@ map a NaN to NaN; a kinked subgradient takes the midpoint there, as np.where.
 All methods broadcast over numpy arrays.  A float argument (Python float or
 `np.float64`) is clamped in scalar arithmetic and returned as `np.float64`,
 equal to the array path bit for bit: the per-block solver path calls the
-subgradient and the prox once per sampled block.  `HuberHard.value` likewise
-computes a float in scalar arithmetic; exact evaluation calls it once per
-component.  Clamps are written np.minimum(hi, np.maximum(lo, v)): in that
-operand order they return what np.clip returns, signed zeros included, at
-about half its cost.
+subgradient and the prox once per sampled block.  `HuberHard.value` takes a
+float through the same formula at a = 1, b = -nu in scalar arithmetic; exact
+evaluation calls it once per component.  Clamps are written
+np.minimum(hi, np.maximum(lo, v)): in that operand order they return what
+np.clip returns, signed zeros included, at about half its cost.
 """
 
 from __future__ import annotations
@@ -180,23 +180,14 @@ class HuberHard(OuterFunction):
         super().__init__(self.nu - 1.0, self.nu + 1.0, 1.0, -self.nu, 0.5 * self.nu * self.nu)
 
     def value(self, u):
-        nu = self.nu
-        if isinstance(u, float):
-            # the array path's arithmetic on the selected piece only; both
-            # square as `d * d`, because a scalar `** 2` (Python's, or numpy's
-            # on a 0-d array) calls pow(), which can round differently
-            if u < -1.0:
-                return (nu - 1.0) * u + 0.5 * (nu - 1.0) ** 2 + nu - 1.0 - 0.5 * nu ** 2
-            if u > 1.0:
-                return (1.0 + nu) * u + 0.5 * (1.0 + nu) ** 2 - 1.0 - nu - 0.5 * nu ** 2
-            d = u + nu
-            return 0.5 * (d * d) - 0.5 * nu ** 2
-        u = np.asarray(u, dtype=float)
-        d = u + nu
-        mid = 0.5 * (d * d) - 0.5 * nu ** 2
-        lo = (nu - 1.0) * u + 0.5 * (nu - 1.0) ** 2 + nu - 1.0 - 0.5 * nu ** 2
-        hi = (1.0 + nu) * u + 0.5 * (1.0 + nu) ** 2 - 1.0 - nu - 0.5 * nu ** 2
-        return np.where(u < -1.0, lo, np.where(u > 1.0, hi, mid))[()]
+        if not isinstance(u, float):
+            return super().value(u)
+        # OuterFunction.value at a = 1, b = -nu, in scalar arithmetic: the
+        # array path's operations in its order, with _clip's comparisons
+        d = u + self.nu
+        y = self.lo if self.lo > d else d
+        y = self.hi if self.hi < y else y
+        return y * d - 0.5 * y * y - self.c
 
     def __repr__(self):
         return f"HuberHard(nu={self.nu})"

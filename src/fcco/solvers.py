@@ -111,6 +111,11 @@ class BaselineConfig:
     `eta` above); `gamma` is the moving-average weight of sox/msvr (msvr
     needs gamma < 1).  With `subgradient_fallback` off, sox refuses
     non-smooth outer functions.
+
+    sgd_erm and sgd_uw never fit GDRO's threshold c: the flat per-sample
+    loss has no c-component, so c follows only the regularizer's +c term to
+    the lower end of its interval (0 under cvar, -lam under chi2), and their
+    objective column reads F(w, c_lo), not min_c F(w, c).
     """
 
     variant: str
@@ -228,8 +233,6 @@ def init_state(cfg, problem):
 def dual_update_conjugate(f, u_block, g_tilde, tau):
     """Dual step under the conjugate distance-generating choice, tracked
     through u:  u' = (tau*u + g~)/(1+tau),  y' = f'(u')."""
-    if not f.is_smooth:
-        raise NotSmoothError("conjugate-mode dual update needs a smooth outer function")
     u_new = (tau * u_block + g_tilde) / (1.0 + tau)
     return u_new, f.grad(u_new)
 
@@ -303,22 +306,16 @@ def msvr_beta(n, S, gamma):
     return (n - S) / (S * (1.0 - gamma)) + 1.0 - gamma
 
 
-def _outer_slope(f, u, allow_subgradient):
-    if f.is_smooth:
-        return f.grad(u)
-    if not allow_subgradient:
-        raise NotSmoothError(f"{f!r} is not smooth; enable subgradient_fallback")
-    return f.subgradient(u)
-
-
 def sox_step(state, cfg, problem):
     """Moving-average inner tracking: u' = (1-gamma)*u + gamma*g(x; B) for
     sampled blocks, gradient through f'(u'), proximal primal step."""
-    f, gamma, fallback = problem.outer, cfg.gamma, cfg.subgradient_fallback
+    f, gamma = problem.outer, cfg.gamma
+    if not (f.is_smooth or cfg.subgradient_fallback):
+        raise NotSmoothError(f"{f!r} is not smooth; enable subgradient_fallback")
 
     def rule(u, g_now, _g_prev):
         u_new = (1.0 - gamma) * u + gamma * g_now
-        return u_new, _outer_slope(f, u_new, fallback)
+        return u_new, f.subgradient(u_new)
     return _block_step(state, problem, cfg.S, cfg.B, cfg.step, rule, False)
 
 
@@ -331,7 +328,7 @@ def msvr_step(state, cfg, problem):
 
     def rule(u, g_now, g_prev):
         u_new = (1.0 - gamma) * u + gamma * g_now + beta * (g_now - g_prev)
-        return u_new, _outer_slope(f, u_new, True)
+        return u_new, f.subgradient(u_new)
     return _block_step(state, problem, cfg.S, cfg.B, cfg.step, rule, True)
 
 

@@ -608,19 +608,57 @@ def test_convex_preset_names_its_coefficients(tmp_path, capsys, coeff, value):
 
 def test_cli_strongly_convex_preset_on_a_problem_without_strong_convexity(tmp_path, capsys):
     # GDRO's threshold coordinate carries no weight decay, so the problem's
-    # mu is 0 whatever weight_decay is; the preset needs the built problem,
-    # so validate passes and run fails, naming mu
+    # mu is 0 whatever weight_decay is; validate builds the problem for a
+    # strongly convex preset cell, so both commands stop there, naming mu
     config = {"problem": {"builder": "gdro_synthetic",
                           "params": {"n_groups": 4, "samples_per_group": 20, "d": 3,
                                      "weight_decay": 0.01}},
-              "solvers": [{"name": "alexr", "params": {"preset": "strongly_convex", "S": 2,
+              "solvers": [{"name": "bsgd", "params": {"T": 5}},
+                          {"name": "alexr", "params": {"preset": "strongly_convex", "S": 2,
                                                        "B": 2, "T": 5}}],
               "seeds": [1], "eval_every": 5}
+    assert validation_error(config).field == "solvers[1]"
     path = write_config(tmp_path, config)
-    assert cli_main(["--out", str(tmp_path / "out"), "validate", path]) == 0
-    assert capsys.readouterr().out == "ok\n"
+    for command in ("validate", "run"):
+        assert cli_main(["--out", str(tmp_path / "out"), command, path]) == 1
+        assert capsys.readouterr().err == ("config error: solvers[1]: cell 'alexr': "
+                                           "mu must be positive and finite, got 0.0\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_builds_the_problem_only_for_a_strongly_convex_preset_cell(tmp_path, capsys):
+    # an unbuildable problem fails validate as a config error when a strongly
+    # convex cell needs it built, and otherwise fails only `fcco run`
+    preset = {"name": "alexr", "label": "sc", "params": {"preset": "strongly_convex", "S": 2,
+                                                         "T": 5}}
+    config = edited(lambda c: c["problem"]["params"].update(n=0))
+    validate_config(config)
+    config["solvers"].append(preset)
+    assert validation_error(config).field == "problem.params"
+    path = write_config(tmp_path, config)
+    assert cli_main(["--out", str(tmp_path / "out"), "validate", path]) == 1
+    assert capsys.readouterr().err == "config error: problem.params: n must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize("builder, params, message", [
+    ("hard_smooth", {"n": 0}, "n must be at least 1, got 0"),
+    ("hard_nonsmooth", {"n": 0}, "n must be at least 1, got 0"),
+    ("hard_smooth", {"sigma": 0.0}, "sigma must be positive and finite, got 0.0"),
+    ("hard_nonsmooth", {"sigma": -1.0}, "sigma must be positive and finite, got -1.0"),
+    ("pauc_synthetic", {"d": 0}, "n_pos, n_neg, d must be positive"),
+    ("gdro_synthetic", {"n_groups": 3, "samples_per_group": 10, "d": 2, "risk_bound": -0.5},
+     "risk_bound must be at least c's lower end 0.0, got -0.5"),
+])
+def test_cli_run_names_a_degenerate_builder_parameter(tmp_path, capsys, builder, params, message):
+    # these used to end in a ZeroDivisionError traceback (n = 0, sigma = 0),
+    # run on a problem with no features (d = 0) or blame the box domain
+    config = {"problem": {"builder": builder, "params": params},
+              "solvers": [{"name": "bsgd", "params": {"S": 1, "T": 5}}],
+              "seeds": [1], "eval_every": 5}
+    path = write_config(tmp_path, config)
     assert cli_main(["--out", str(tmp_path / "out"), "run", path]) == 2
-    assert capsys.readouterr().err == "error: mu must be positive and finite, got 0.0\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def _baseline(c, name):
@@ -684,13 +722,18 @@ def test_run_refuses_the_sweep_fields(tmp_path, capsys, field, value):
 
 
 def test_strongly_convex_cell_ranges_fail_when_the_experiment_runs(tmp_path, capsys):
-    # the preset needs the built problem's n and mu, and S > n needs its n
-    for params in ({"preset": "strongly_convex", "S": 0, "T": 5},
-                   {"eta": 0.5, "tau": 1.0, "S": 7, "T": 5}):
-        path = write_config(tmp_path, edited(lambda c: c["solvers"][0].update(params=params)))
-        assert cli_main(["--out", str(tmp_path / "out"), "validate", path]) == 0
-        assert cli_main(["--out", str(tmp_path / "out"), "run", path]) == 2
-        assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+    # S > n needs the built problem's n, which validate reads only for a
+    # strongly convex preset cell; such a cell's ranges fail at validate
+    path = write_config(tmp_path, edited(lambda c: c["solvers"][0].update(
+        params={"eta": 0.5, "tau": 1.0, "S": 7, "T": 5})))
+    assert cli_main(["--out", str(tmp_path / "out"), "validate", path]) == 0
+    assert cli_main(["--out", str(tmp_path / "out"), "run", path]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+    path = write_config(tmp_path, edited(lambda c: c["solvers"][0].update(
+        params={"preset": "strongly_convex", "S": 0, "T": 5})))
+    for command in ("validate", "run"):
+        assert cli_main(["--out", str(tmp_path / "out"), command, path]) == 1
+        assert capsys.readouterr().err.startswith("config error: solvers[0]: cell 'alexr': ")
 
 
 def test_aggregate_keyed_by_oracle_count(tmp_path):

@@ -560,6 +560,19 @@ def hand_written(f):
         lambda y, g, tau: np.minimum(cap, np.maximum(0.0, y + g / tau)))
 
 
+@pytest.mark.parametrize("nu", [0.05, 0.3, 0.6])
+def test_huber_value_is_the_hand_written_one_where_evaluation_reads_it(nu):
+    # a hard instance's inner values are coordinates of x in [-1, 1]^n, so
+    # evaluation reads HuberHard.value on the middle piece only; there the
+    # derived formula gives the hand-written value bit for bit
+    f = HuberHard(nu)
+    u = np.concatenate([np.random.default_rng(5).uniform(-1.0, 1.0, 20_000),
+                        [-1.0, 1.0, 0.0, -0.0, -nu]])
+    want = hand_written(f).value(u)
+    assert same_bits([f.value(v) for v in u.tolist()], want)
+    assert same_bits(f.value(u), want)
+
+
 def built_problem(family):
     from fcco.datasets import build_synthetic_gdro, build_synthetic_pauc
     from fcco.instances import build_gdro, build_hard_nonsmooth, build_hard_smooth, build_pauc
