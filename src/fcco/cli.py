@@ -7,7 +7,8 @@ Subcommands:
   emit-synthetic <kind>    write a synthetic dataset (gdro CSV / pauc libsvm)
 
 All output paths are relative to --out.  Exit codes: 0 success, 1 config
-validation error, 2 runtime failure.
+validation error, 2 data error (from validate too: it builds the problem)
+or runtime failure.
 """
 
 from __future__ import annotations

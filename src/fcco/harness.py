@@ -32,7 +32,6 @@ from .solvers import (
     SOLVER_NAMES,
     AlexrConfig,
     BaselineConfig,
-    check_preset_epsilon,
     convex_preset,
     run,
     strongly_convex_preset,
@@ -108,9 +107,12 @@ def _check_required(prefix, present, declared):
 
 def validate_config(raw):
     """Validate a raw config mapping; raises ConfigValidationError with the
-    offending field path.  Parameter names, defaults and value kinds come
-    from one declaration each: `BUILDER_PARAMS` for problems, and the
-    keyword arguments of each solver's config or preset (`_solver_params`)."""
+    offending field path.  One rule, in order: the schema, a NaN pass, one
+    build of the problem (its InvalidParameterError fails at `problem.params`;
+    a data error propagates) and a build of every cell on it, at its own
+    params and at each sweep target.  Parameter names, defaults and value
+    kinds come from one declaration each: `BUILDER_PARAMS` for problems, and
+    the keyword arguments of each solver's config or preset (`_solver_params`)."""
     if not isinstance(raw, dict):
         _fail("<root>", "config must be a mapping")
     _check_keys("", raw, CONFIG_KEYS)
@@ -181,16 +183,9 @@ def validate_config(raw):
     if config.budget is not None and (not _is_kind(config.budget, int) or config.budget < 0):
         _fail("budget", "must be a nonnegative integer")
 
-    def build_cell(i, label, name, params, built):
-        # the cell's config runs its own range checks
-        try:
-            make_solver(name, params, seeds[0], built, label=label)
-        except InvalidParameterError as exc:
-            _fail(f"solvers[{i}]", f"cell {label!r}: {exc}")
-
     # two cells writing the same record file, or two entries with the same
     # best_cell key, would overwrite each other
-    owner, key_owner, preset_cells = {}, {}, []
+    owner, key_owner, cells = {}, {}, []
     for i, solver in enumerate(solvers):
         for label, name, params in expand_solver_grid(solver):
             fname = _cell_filename(label, seeds[0], config.emit)
@@ -198,51 +193,43 @@ def validate_config(raw):
                 _fail(f"solvers[{i}]", f"cell {label!r} writes the same record files as a cell"
                                        f" of solvers[{owner[fname]}]; give them distinct labels")
             owner[fname] = i
-            _check_targets(f"solvers[{i}]", solver, params, epsilons)
-            if name == "alexr" and params.get("preset") == "strongly_convex":
-                preset_cells.append((i, label, name, params))
-            else:
-                build_cell(i, label, name, params, None)
+            cells.append((i, label, name, params))
         key = solver.get("label", solver["name"])
         if key in key_owner:
             _fail(f"solvers[{i}]", f"best_cell key {key!r} is also that of solvers[{key_owner[key]}]"
                                    "; give the entries distinct labels")
         key_owner[key] = i
-    # NaN fails every comparison: a NaN that no range check above refused fails here
+    # NaN fails every comparison, so it is refused here, before a range check reads it
     for prefix, mapping in [("problem.params.", problem_params)] + [
             (f"solvers[{i}].{part}.", solver.get(part, {}))
             for i, solver in enumerate(solvers) for part in ("params", "grid")]:
         for key, value in mapping.items():
             if any(v != v for v in (value if isinstance(value, list) else [value])):
                 _fail(f"{prefix}{key}", "expected a number, got nan")
-    # a strongly convex preset reads the built problem's n and mu, so only
-    # configs with such a cell build their problem (and read its data) here
-    if preset_cells:
-        try:
-            built = _build(problem)
-        except InvalidParameterError as exc:
-            _fail("problem.params", str(exc))
-        for cell in preset_cells:
-            build_cell(*cell, built)
+    try:
+        built = _build(problem)
+    except InvalidParameterError as exc:
+        _fail("problem.params", str(exc))
+    # each cell's config checks its own ranges, at its params and each sweep target
+    for i, label, name, params in cells:
+        for at, run_params in [(f"solvers[{i}]", params)] + [
+                ("epsilons", _target_params(params, eps, config.budget)) for eps in epsilons or ()]:
+            try:
+                make_solver(name, run_params, seeds[0], built, label=label)
+            except InvalidParameterError as exc:
+                _fail(at, f"cell {label!r}: {exc}")
     return config
 
 
-def _check_targets(at, entry, params, epsilons):
-    """Check each target accuracy an ALEXR preset cell can receive: its own
-    epsilon (or the fill) and each of a sweep's `epsilons`."""
-    preset = params.get("preset") if entry["name"] == "alexr" else None
-    cell = {**_solver_params("alexr", preset), **params}
-    margin = cell.get("theta_margin")  # only the strongly convex preset has one
-    # a NaN margin is left to validate_config's NaN pass, which names it
-    if preset is None or (margin is not None and (cell["theta"] is not None or margin != margin)):
-        return  # no target, or one that an explicit theta leaves unread
-    where = "grid" if "epsilon" in entry.get("grid", {}) else "params"
-    for path, eps in [(f"{at}.{where}.epsilon", cell["epsilon"])] + [
-            ("epsilons", e) for e in epsilons or ()]:
-        try:
-            check_preset_epsilon(eps, margin)
-        except FccoError as exc:
-            _fail(path, str(exc))
+def _target_params(params, epsilon, budget):
+    """A cell's params for one sweep target: a preset takes the target as its
+    epsilon, and a budget replaces T."""
+    params = dict(params)
+    if params.get("preset") is not None:  # only the presets take a target
+        params["epsilon"] = epsilon
+    if budget is not None:
+        params["T"] = budget
+    return params
 
 
 def load_config(path):
@@ -360,9 +347,9 @@ def _solver_params(name, preset=None):
 
 
 def make_solver(name, params, seed, problem, label=None):
-    """Instantiate a solver config from an entry's params plus the fills the
-    library leaves without a default; `alexr` params may name a preset whose
-    step sizes are derived from the problem and a target accuracy."""
+    """Instantiate a solver config for a built problem from an entry's params
+    plus the fills the library leaves without a default; an `alexr` preset
+    derives its step sizes from the problem and a target accuracy."""
     params = dict(params)
     preset = params.pop("preset", None) if name == "alexr" else None
     factory, fills = _solver_factory(name, preset)
@@ -462,20 +449,17 @@ def run_experiment(config, out_dir):
     records, an aggregate of seed-mean/std curves keyed by oracle count, and
     a manifest.
 
-    Files are written only after every cell has run, and partial files are
-    removed on failure.  `epsilons` and `budget` are sweep-rate's, and a
-    config that sets them is refused before anything is built."""
+    `out_dir` and its files are made only after every cell has run; partial
+    files are removed on failure.  A config that sets sweep-rate's `epsilons`
+    or `budget` is refused before anything is built."""
     for name in ("epsilons", "budget"):
         if getattr(config, name) is not None:
             raise ConfigValidationError(name, "run does not read it; only sweep-rate does")
-    # One build up front, before out_dir exists, and one per cell: the traced
-    # benchmark pins these 1 + cells x seeds builds (ROADMAP item 2).
-    _build(config.problem)
-    os.makedirs(out_dir, exist_ok=True)
     cells = [(entry, cell) for entry in config.solvers for cell in expand_solver_grid(entry)]
     jobs = [(label, name, params, seed)
             for _entry, (label, name, params) in cells for seed in config.seeds]
     results = [_run_seed(_build(config.problem), *job, config.eval_every) for job in jobs]
+    os.makedirs(out_dir, exist_ok=True)
     written = []
     try:
         by_cell = {}
@@ -585,11 +569,7 @@ def sweep_rate(config, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     for eps in config.epsilons:
-        params = dict(entry.get("params", {}))
-        if params.get("preset") is not None:  # only the presets take a target
-            params["epsilon"] = eps
-        if config.budget is not None:
-            params["T"] = config.budget
+        params = _target_params(entry.get("params", {}), eps, config.budget)
         records = [_run_seed(problem, entry.get("label", entry["name"]), entry["name"], params,
                              seed, config.eval_every) for seed in config.seeds]
         hit = iterations_to_reach(records, eps)

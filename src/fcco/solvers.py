@@ -61,12 +61,13 @@ PSI_QUADRATIC = "quadratic"
 PSI_CONJUGATE = "conjugate"
 
 
-def _check_schedule(cfg):
-    """The range checks of the fields AlexrConfig and BaselineConfig share."""
-    if cfg.S < 1 or cfg.B < 1 or cfg.T < 0:
+def _check_schedule(S, B, T, averaging):
+    """The range checks of the fields AlexrConfig, BaselineConfig and the
+    presets share; a preset makes them before it derives its step sizes."""
+    if S < 1 or B < 1 or T < 0:
         raise InvalidParameterError("S, B must be >= 1 and T >= 0")
-    if cfg.averaging not in ("last", "uniform"):
-        raise InvalidParameterError(f"unknown averaging {cfg.averaging!r}")
+    if averaging not in ("last", "uniform"):
+        raise InvalidParameterError(f"unknown averaging {averaging!r}")
 
 
 @dataclass
@@ -98,7 +99,7 @@ class AlexrConfig:
             raise InvalidParameterError("eta and tau must be positive")
         if not 0.0 <= self.theta <= 1.0:
             raise InvalidParameterError("theta must lie in [0, 1]")
-        _check_schedule(self)
+        _check_schedule(self.S, self.B, self.T, self.averaging)
         if self.psi_mode not in (PSI_QUADRATIC, PSI_CONJUGATE):
             raise InvalidParameterError(f"unknown psi_mode {self.psi_mode!r}")
 
@@ -138,7 +139,7 @@ class BaselineConfig:
             raise InvalidParameterError("gamma must lie in (0, 1]")
         if self.variant == "msvr" and self.gamma >= 1.0:
             raise InvalidParameterError("msvr needs gamma < 1: its correction degenerates at gamma=1")
-        _check_schedule(self)
+        _check_schedule(self.S, self.B, self.T, self.averaging)
         if not self.label:
             self.label = self.variant
 
@@ -165,6 +166,7 @@ def strongly_convex_preset(mu, n, S, B, T, epsilon, seed=0, theta=None,
     target accuracy epsilon -> 0 (theta = 1 - theta_margin*epsilon unless
     given explicitly).  Reports the last iterate."""
     _check_positive("mu", mu)
+    _check_schedule(S, B, T, "last")
     if theta is None:
         check_preset_epsilon(epsilon, theta_margin)
         theta = 1.0 - theta_margin * epsilon
@@ -184,8 +186,7 @@ def convex_preset(S, B, T, epsilon, seed=0, theta=0.0, eta_coeff=1.0,
     check_preset_epsilon(epsilon)
     _check_positive("eta_coeff", eta_coeff)
     _check_positive("tau_coeff", tau_coeff)
-    if B < 1:
-        raise InvalidParameterError(f"B must be >= 1, got {B}")
+    _check_schedule(S, B, T, "uniform")
     eta = eta_coeff / epsilon
     tau = tau_coeff / (B * epsilon)
     return AlexrConfig(eta=eta, tau=tau, theta=theta, S=S, B=B, T=T,

@@ -263,13 +263,14 @@ def test_validate_config_rejects_colliding_best_cell_keys(tmp_path, capsys, solv
     (lambda c: c["solvers"][0].update(params={"preset": "strongly_convex",
                                               "theta_margin": math.nan}),
      "solvers[0].params.theta_margin", "got nan"),
-    # where a cell's own range check reads the value, that check names it
-    (lambda c: c["solvers"][0]["params"].update(eta=math.nan), "solvers[0]",
-     "cell 'alexr': eta and tau must be positive"),
-    (lambda c: c["solvers"][1]["params"].update(step=math.nan), "solvers[1]",
-     "cell 'bsgd': step must be positive"),
-    (lambda c: c["solvers"][0].update(grid={"tau": [1.0, math.nan]}), "solvers[0]",
-     "cell 'alexr[tau=nan]': eta and tau must be positive"),
+    # the NaN pass runs before any cell is built, so it names a value that a
+    # cell's own range check would also refuse
+    (lambda c: c["solvers"][0]["params"].update(eta=math.nan), "solvers[0].params.eta",
+     "got nan"),
+    (lambda c: c["solvers"][1]["params"].update(step=math.nan), "solvers[1].params.step",
+     "got nan"),
+    (lambda c: c["solvers"][0].update(grid={"tau": [1.0, math.nan]}), "solvers[0].grid.tau",
+     "got nan"),
 ])
 def test_validate_config_rejects_wrong_typed_values(tmp_path, capsys, edit, field, kind):
     # values of the wrong kind fail at validation with exit 1, not as a
@@ -548,12 +549,14 @@ def test_convex_preset_rejects_epsilon_that_is_not_positive_and_finite(tmp_path,
     params = {"preset": "convex", "epsilon": epsilon, "S": 2, "B": 1, "T": 5}
     with pytest.raises(InvalidParameterError, match="epsilon"):
         make_solver("alexr", params, 1, build_hard_smooth(6, 0.3, 1.0))
-    # validation runs the preset's own check, so neither command starts a run
+    # validation builds the cell, whose preset names epsilon (the NaN pass
+    # names a NaN first), so neither command starts a run
+    expected = ("solvers[0].params.epsilon: expected a number, got nan" if epsilon != epsilon
+                else "solvers[0]: cell 'alexr': epsilon must be positive and finite")
     path = write_config(tmp_path, dict(BASE_CONFIG, solvers=[{"name": "alexr", "params": params}]))
     for command in ("validate", "run"):
         assert cli_main(["--out", str(tmp_path / "out"), command, path]) == 1
-        assert capsys.readouterr().err.startswith(
-            "config error: solvers[0].params.epsilon: epsilon must be positive and finite")
+        assert capsys.readouterr().err.startswith(f"config error: {expected}")
 
 
 @pytest.mark.parametrize("edit, field", [
@@ -563,15 +566,27 @@ def test_convex_preset_rejects_epsilon_that_is_not_positive_and_finite(tmp_path,
      "solvers[0].params.epsilon"),
     (lambda c: c.update(solvers=[{"name": "alexr", "params": {"preset": "strongly_convex"}}],
                         epsilons=[3.0, 0.1]), "epsilons"),
+    # the grid cell's own epsilon (1e-3) leaves theta at 0.96, but the sweep
+    # target 0.1 leaves it at -3
+    pytest.param(lambda c: c["solvers"][0].update(params={"preset": "strongly_convex"},
+                                                  grid={"theta_margin": [0.5, 40.0]}),
+                 "epsilons", id="epsilons-of-a-grid-cell"),
 ])
 def test_validate_config_checks_every_preset_target(tmp_path, capsys, edit, field):
+    # validation builds each cell at its own epsilon and at each sweep target:
+    # a bad target set in a cell's params or grid fails at the cell's entry,
+    # and a bad sweep target at `epsilons`, each naming the cell
     config = edited(lambda c: c.update(solvers=[{"name": "alexr", "params": {"preset": "convex"}}],
                                        epsilons=[0.1, 0.05]))
     validate_config(config)
     edit(config)
-    assert validation_error(config).field == field
+    at = field.split(".")[0]
+    assert validation_error(config).field == at
     assert cli_main(["--out", str(tmp_path), "validate", write_config(tmp_path, config)]) == 1
-    assert capsys.readouterr().err.startswith(f"config error: {field}: epsilon")
+    # each grid puts its bad value last
+    grid = config["solvers"][0].get("grid", {})
+    cell = "alexr" + "".join(f"[{k}={v[-1]}]" for k, v in grid.items())
+    assert capsys.readouterr().err.startswith(f"config error: {at}: cell {cell!r}: epsilon")
 
 
 @pytest.mark.parametrize("epsilon", [0.0, -1.0, 5.0, math.nan])
@@ -597,19 +612,21 @@ def test_strongly_convex_preset_names_mu(mu):
 def test_convex_preset_names_its_coefficients(tmp_path, capsys, coeff, value):
     with pytest.raises(InvalidParameterError, match=f"^{coeff} must be positive and finite"):
         convex_preset(S=2, B=1, T=5, epsilon=1e-2, **{coeff: value})
-    # validate builds the convex preset's cells, so both commands stop there
+    # validate builds every cell (after the NaN pass, which names a NaN),
+    # so both commands stop there
+    expected = (f"solvers[0].params.{coeff}: expected a number, got nan" if value != value
+                else f"solvers[0]: cell 'alexr': {coeff} must be positive and finite")
     params = {"preset": "convex", coeff: value, "S": 2, "B": 1, "T": 5}
     path = write_config(tmp_path, dict(BASE_CONFIG, solvers=[{"name": "alexr", "params": params}]))
     for command in ("validate", "run"):
         assert cli_main(["--out", str(tmp_path / "out"), command, path]) == 1
-        assert capsys.readouterr().err.startswith(
-            f"config error: solvers[0]: cell 'alexr': {coeff} must be positive and finite")
+        assert capsys.readouterr().err.startswith(f"config error: {expected}")
 
 
 def test_cli_strongly_convex_preset_on_a_problem_without_strong_convexity(tmp_path, capsys):
     # GDRO's threshold coordinate carries no weight decay, so the problem's
-    # mu is 0 whatever weight_decay is; validate builds the problem for a
-    # strongly convex preset cell, so both commands stop there, naming mu
+    # mu is 0 whatever weight_decay is; validate builds the problem and the
+    # strongly convex preset cell on it, so both commands stop there, naming mu
     config = {"problem": {"builder": "gdro_synthetic",
                           "params": {"n_groups": 4, "samples_per_group": 20, "d": 3,
                                      "weight_decay": 0.01}},
@@ -626,18 +643,22 @@ def test_cli_strongly_convex_preset_on_a_problem_without_strong_convexity(tmp_pa
     assert not (tmp_path / "out").exists()
 
 
-def test_validate_builds_the_problem_only_for_a_strongly_convex_preset_cell(tmp_path, capsys):
-    # an unbuildable problem fails validate as a config error when a strongly
-    # convex cell needs it built, and otherwise fails only `fcco run`
+def test_validate_builds_the_problem_whatever_the_cells(tmp_path, capsys):
+    # an unbuildable problem fails both commands as a config error at
+    # problem.params, whichever cells sit beside it; a lone bsgd cell used to
+    # pass validate and fail run with exit 2
     preset = {"name": "alexr", "label": "sc", "params": {"preset": "strongly_convex", "S": 2,
                                                          "T": 5}}
-    config = edited(lambda c: c["problem"]["params"].update(n=0))
-    validate_config(config)
-    config["solvers"].append(preset)
-    assert validation_error(config).field == "problem.params"
-    path = write_config(tmp_path, config)
-    assert cli_main(["--out", str(tmp_path / "out"), "validate", path]) == 1
-    assert capsys.readouterr().err == "config error: problem.params: n must be at least 1, got 0\n"
+    for solvers in ([{"name": "bsgd", "params": {"T": 5}}], BASE_CONFIG["solvers"] + [preset]):
+        config = edited(lambda c: c.update(solvers=solvers))
+        config["problem"]["params"]["n"] = 0
+        assert validation_error(config).field == "problem.params"
+        path = write_config(tmp_path, config)
+        for command in ("validate", "run"):
+            assert cli_main(["--out", str(tmp_path / "out"), command, path]) == 1
+            assert capsys.readouterr().err == ("config error: problem.params: "
+                                               "n must be at least 1, got 0\n")
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("builder, params, message", [
@@ -651,13 +672,15 @@ def test_validate_builds_the_problem_only_for_a_strongly_convex_preset_cell(tmp_
 ])
 def test_cli_run_names_a_degenerate_builder_parameter(tmp_path, capsys, builder, params, message):
     # these used to end in a ZeroDivisionError traceback (n = 0, sigma = 0),
-    # run on a problem with no features (d = 0) or blame the box domain
+    # run on a problem with no features (d = 0) or blame the box domain;
+    # validation builds the problem, so both commands name the parameter
     config = {"problem": {"builder": builder, "params": params},
               "solvers": [{"name": "bsgd", "params": {"S": 1, "T": 5}}],
               "seeds": [1], "eval_every": 5}
     path = write_config(tmp_path, config)
-    assert cli_main(["--out", str(tmp_path / "out"), "run", path]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    for command in ("validate", "run"):
+        assert cli_main(["--out", str(tmp_path / "out"), command, path]) == 1
+        assert capsys.readouterr().err == f"config error: problem.params: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -687,25 +710,41 @@ def _baseline(c, name):
      "unknown averaging 'uniformm'"),
     (lambda c: c["solvers"][1]["params"].update(averaging="uniformm"), "solvers[1]: cell 'bsgd'",
      "unknown averaging 'uniformm'"),
-    # a grid cell is named by its label, and a convex preset cell is built
-    # too: B=0 used to divide by zero inside the preset
+    # a grid cell is named by its label, and preset cells are built too:
+    # each preset checks S, B and T before it derives its step sizes (B=0
+    # used to divide by zero in the convex preset, and S=0 made the strongly
+    # convex preset's tau 0 and fail as "eta and tau must be positive")
     (lambda c: c["solvers"][0].update(grid={"eta": [0.5, -1.0]}),
      "solvers[0]: cell 'alexr[eta=-1.0]'", "eta and tau must be positive"),
     (lambda c: c["solvers"][0].update(params={"preset": "convex", "B": 0}),
-     "solvers[0]: cell 'alexr'", "B must be >= 1, got 0"),
+     "solvers[0]: cell 'alexr'", "S, B must be >= 1 and T >= 0"),
     (lambda c: c["solvers"][0].update(params={"preset": "convex", "S": 0}),
+     "solvers[0]: cell 'alexr'", "S, B must be >= 1 and T >= 0"),
+    (lambda c: c["solvers"][0].update(params={"preset": "strongly_convex", "S": 0, "T": 5}),
      "solvers[0]: cell 'alexr'", "S, B must be >= 1 and T >= 0"),
     # msvr's staleness correction divides by 1 - gamma
     (lambda c: _baseline(c, "msvr")["params"].update(gamma=1.0), "solvers[1]: cell 'msvr'",
      "msvr needs gamma < 1: its correction degenerates at gamma=1"),
 ])
 def test_solver_ranges_fail_at_validation(tmp_path, capsys, edit, at, message):
-    # validate builds every cell that needs nothing from the problem, so the
-    # config's own range check names the cell and neither command starts a run
+    # validate builds every cell on the built problem, so the config's own
+    # range check names the cell and neither command starts a run
     path = write_config(tmp_path, edited(edit))
     for command in ("validate", "run"):
         assert cli_main(["--out", str(tmp_path / "out"), command, path]) == 1
         assert capsys.readouterr().err == f"config error: {at}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_experiment_on_an_unvalidated_config_fails_at_the_build(tmp_path):
+    # run_experiment builds the problem for each cell, so a hand-built config
+    # that never passed validation fails with the builder's own error, and
+    # out_dir is made only after every cell has run
+    config = ExperimentConfig(problem={"builder": "hard_smooth", "params": {"n": 0}},
+                              solvers=[{"name": "bsgd", "params": {"T": 5}}], seeds=[1],
+                              eval_every=5)
+    with pytest.raises(InvalidParameterError, match="^n must be at least 1, got 0$"):
+        run_experiment(config, str(tmp_path / "out"))
     assert not (tmp_path / "out").exists()
 
 
@@ -722,18 +761,21 @@ def test_run_refuses_the_sweep_fields(tmp_path, capsys, field, value):
 
 
 def test_strongly_convex_cell_ranges_fail_when_the_experiment_runs(tmp_path, capsys):
-    # S > n needs the built problem's n, which validate reads only for a
-    # strongly convex preset cell; such a cell's ranges fail at validate
+    # building a cell does not compare S with the problem's n: S > n fails
+    # when the run draws its first batch, before out_dir is made; a strongly
+    # convex preset cell's ranges fail at validate
     path = write_config(tmp_path, edited(lambda c: c["solvers"][0].update(
         params={"eta": 0.5, "tau": 1.0, "S": 7, "T": 5})))
     assert cli_main(["--out", str(tmp_path / "out"), "validate", path]) == 0
     assert cli_main(["--out", str(tmp_path / "out"), "run", path]) == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+    assert not (tmp_path / "out").exists()
     path = write_config(tmp_path, edited(lambda c: c["solvers"][0].update(
         params={"preset": "strongly_convex", "S": 0, "T": 5})))
     for command in ("validate", "run"):
         assert cli_main(["--out", str(tmp_path / "out"), command, path]) == 1
-        assert capsys.readouterr().err.startswith("config error: solvers[0]: cell 'alexr': ")
+        assert capsys.readouterr().err == ("config error: solvers[0]: cell 'alexr': "
+                                           "S, B must be >= 1 and T >= 0\n")
 
 
 def test_aggregate_keyed_by_oracle_count(tmp_path):
@@ -890,15 +932,15 @@ def test_cli_libsvm_too_wide_to_densify_exits_cleanly(tmp_path, capsys):
 
 
 def test_cli_pauc_libsvm_without_negatives_exits_cleanly(tmp_path, capsys):
-    # validate does not read the file; run refuses it before sampling a
-    # negative from an empty set
+    # validate reads the file and builds the problem, which refuses it before
+    # a run could sample a negative from an empty set: a data error, exit 2
     data = tmp_path / "positives.svm"
     data.write_text("+1 1:1\n+1 1:2 2:1\n+1 2:3\n")
     config = dict(BASE_CONFIG, problem={"builder": "pauc_libsvm", "params": {"path": str(data)}})
     path = write_config(tmp_path, config)
-    assert cli_main(["--out", str(tmp_path / "out"), "validate", path]) == 0
-    assert cli_main(["--out", str(tmp_path / "out"), "run", path]) == 2
-    assert capsys.readouterr().err == "error: pAUC data holds no negatives\n"
+    for command in ("validate", "run"):
+        assert cli_main(["--out", str(tmp_path / "out"), command, path]) == 2
+        assert capsys.readouterr().err == "error: pAUC data holds no negatives\n"
     assert not (tmp_path / "out").exists()  # the build fails before out_dir is made
 
 
@@ -919,12 +961,15 @@ def test_cli_sweep_rate_with_a_missing_data_file_makes_no_output_directory(tmp_p
     ("1.0,1,a\nx,0,b\n", "line 3: non-numeric value"),
 ])
 def test_cli_run_rejects_malformed_csv_rows(tmp_path, capsys, rows, message):
-    # a short row would make a group named None and a long one lose a field
+    # a short row would make a group named None and a long one lose a field;
+    # validate reads the file too, and both commands fail as a data error
     data = tmp_path / "groups.csv"
     data.write_text("f0,label,group\n" + rows)
     config = dict(BASE_CONFIG, problem={"builder": "gdro_csv", "params": {"path": str(data)}})
-    assert cli_main(["--out", str(tmp_path / "out"), "run", write_config(tmp_path, config)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {message}")
+    path = write_config(tmp_path, config)
+    for command in ("validate", "run"):
+        assert cli_main(["--out", str(tmp_path / "out"), command, path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_cli_emit_synthetic_gdro(tmp_path, capsys):
